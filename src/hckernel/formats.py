@@ -2,7 +2,7 @@
 
 Graph grammar (one directive per line, blank lines ignored):
 
-    c <free text>          comment
+    c <free text>          comment (the first token is exactly "c")
     p edge <n> <m>         header, exactly once, before any edge
     e <u> <v>              edge with 1-based endpoints in 1..n
 
@@ -32,10 +32,10 @@ class ParseError(ValueError):
 
 def _directive_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        yield line_no, line.split()
+        yield line_no, parts
 
 
 def parse_graph(text: str) -> Graph:
@@ -111,12 +111,17 @@ def parse_tsd(text: str) -> TriangleSplitInstance:
                 dims = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise ParseError(line_no, "non-integer sizes in header") from None
+            if dims[0] < 0 or dims[1] < 0:
+                raise ParseError(line_no, "negative sizes in header")
         elif parts[0] == "e":
             if dims is None:
                 raise ParseError(line_no, "edge before problem header")
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'e <u> <v>', got {' '.join(parts)!r}")
-            u, v = int(parts[1]), int(parts[2])
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(line_no, "non-integer endpoints") from None
             if not (1 <= u <= dims[0] and 1 <= v <= 3 * dims[1]):
                 raise ParseError(line_no, "cross-edge endpoint out of range")
             edges.add((u - 1, v - 1))

@@ -2,15 +2,20 @@
 
 Everything here recomputes properties straight from definitions (pairwise
 neighborhood comparison, subset enumeration, exhaustive coloring search)
-so that library results are checked against a second, dumber route.
+so that library results are checked against a second, dumber route. The
+reference kernelization driver at the end is the same kind of route for
+``kernelize``: it recomputes everything after every rule application.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
-from hckernel.graphs import Graph
+from hckernel.gf2 import MaskBasis
+from hckernel.graphs import Graph, twin_decomposition
+from hckernel.kernelization import AppliedRule, KernelResult, KernelStats, _SpanEngine
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -123,3 +128,131 @@ def petersen_edges() -> list[tuple[int, int]]:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return edges
+
+
+# -- reference kernelization driver ----------------------------------------
+#
+# The restart-everything driver that ``kernelize`` replaced, kept as the
+# differential oracle: after every rule application it recomputes the twin
+# decomposition, re-ranks all class pairs and rebuilds an immutable graph.
+# It shares only row generation and the row estimate with the library.
+
+def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
+    removed = g.edges_between(p1, p2)
+    if not removed:
+        return None
+    engine.span_tests += 1
+    targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))[0]
+    if not targets:
+        return g.without_edges(removed)
+
+    sources = []
+    for cls in pi.classes:
+        nbhd = g.neighborhood_of_set(cls)
+        if cls == p1:
+            nbhd -= p2
+        elif cls == p2:
+            nbhd -= p1
+        nbhd_t = tuple(sorted(nbhd))
+        sources.append((engine.estimate_rows(len(cls), len(nbhd_t)),
+                        min(cls), len(cls), nbhd_t))
+    sources.sort(key=lambda s: (s[0], s[1]))
+
+    basis = MaskBasis(engine.interner.size)
+    pending = list(targets)
+    for _est, _anchor, size, nbhd_t in sources:
+        rows = engine.class_rows(size, nbhd_t)[0]
+        if not rows:
+            continue
+        basis.ensure_columns(engine.interner.size)
+        grew = False
+        for mask in sorted(set(rows)):
+            grew |= basis.insert(mask)
+        engine.rows_considered += len(rows)
+        engine.max_basis_rank = max(engine.max_basis_rank, basis.rank)
+        if grew:
+            pending = [t for t in pending if not basis.contains(t)]
+            if not pending:
+                return g.without_edges(removed)
+    return None
+
+
+def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
+    classes = sorted(pi.classes, key=min)
+    ranked = []
+    for p1 in classes:
+        nbhd = g.neighborhood_of_set(p1)
+        cost = engine.estimate_rows(len(p1), len(nbhd))
+        for p2 in classes:
+            if p1 is not p2 and nbhd & p2:
+                ranked.append((cost, min(p1), min(p2), p1, p2))
+    ranked.sort(key=lambda r: r[:3])
+    for _cost, _a, _b, p1, p2 in ranked:
+        yield p1, p2
+
+
+def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelResult:
+    """Rule 1, then rule 3, then rule 2 over the ranked pairs; restart the
+    pass from scratch after any successful application."""
+    if h.is_bipartite:
+        raise ValueError("target graph must be non-bipartite")
+    start = time.perf_counter()
+    stats = KernelStats(input_n=g.n, input_m=g.m,
+                        twin_classes=len(twin_decomposition(g).classes))
+    engine = _SpanEngine(h)
+    history: list[AppliedRule] = []
+    work = g
+
+    def record(rule: str, detail: str) -> None:
+        if record_history:
+            history.append(AppliedRule(rule, detail, work))
+
+    trivial = False
+    while True:
+        stats.passes += 1
+        pi = twin_decomposition(work)
+        if any(len(cls) > h.clique_number for cls in pi.classes):
+            stats.rule1 += 1
+            trivial = True
+            record("rule1", "twin class larger than target clique number")
+            break
+        isolated = next((cls for cls in pi.classes if len(cls) <= h.clique_number
+                         and not work.neighborhood_of_set(cls)), None)
+        if isolated is not None:
+            reduced = work.without_vertices(isolated)
+            stats.rule3 += 1
+            stats.removed_vertices += work.n - reduced.n
+            stats.removed_edges += work.m - reduced.m
+            work = reduced
+            record("rule3", "removed isolated twin class")
+            continue
+        for p1, p2 in _reference_pairs(work, pi, engine):
+            reduced = _reference_rule2(engine, work, pi, p1, p2)
+            if reduced is not None:
+                stats.rule2 += 1
+                stats.removed_edges += work.m - reduced.m
+                work = reduced
+                record("rule2", f"removed edges between classes "
+                                f"{sorted(p1)} and {sorted(p2)}")
+                break
+        else:
+            break
+
+    stats.span_tests = engine.span_tests
+    stats.rows_considered = engine.rows_considered
+    stats.max_basis_rank = engine.max_basis_rank
+    stats.kernel_n = 0 if trivial else work.n
+    stats.kernel_m = 0 if trivial else work.m
+    stats.time_seconds = time.perf_counter() - start
+    return KernelResult(graph=None if trivial else work, trivial_no=trivial,
+                        stats=stats, history=tuple(history))
+
+
+def run_summary(res: KernelResult) -> tuple:
+    """Everything two kernelization drivers must agree on: the answer, the
+    kernel with its labels, every counter except the time, and the graph
+    after every rule application."""
+    stats = {k: v for k, v in vars(res.stats).items() if k != "time_seconds"}
+    graph = None if res.graph is None else (res.graph, res.graph.labels)
+    steps = tuple((s.rule, s.detail, s.graph, s.graph.labels) for s in res.history)
+    return res.trivial_no, graph, stats, steps

@@ -59,7 +59,7 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph
+from helpers import random_graph, reference_kernelize, run_summary
 
 
 def clique(n):
@@ -119,6 +119,7 @@ class Record:
     trivial_no: bool
     kernel: Graph | None
     history: tuple
+    summary: tuple
     input_colorable: bool
     kernel_colorable: bool
     input_cover: int = -1
@@ -140,7 +141,7 @@ def corpus_records():
                 kernel_colorable = find_h_coloring(res.graph, h) is not None
             records.append(Record(
                 graph=g, pattern=name, trivial_no=res.trivial_no,
-                kernel=res.graph, history=res.history,
+                kernel=res.graph, history=res.history, summary=run_summary(res),
                 input_colorable=input_colorable,
                 kernel_colorable=kernel_colorable,
             ))
@@ -256,6 +257,22 @@ def test_criterion_4_size_bound_and_plateau(corpus_records):
     plateau_report.append(f"C5-core:{sizes[200]}")
     print(f"criterion 4: PASS - bound on all corpus instances; plateaus "
           f"{', '.join(plateau_report)}")
+
+
+def test_driver_matches_reference(corpus_records):
+    # the order-preserving driver against the restart-everything driver it
+    # replaced: same answers, kernels, counters and per-step graphs on the
+    # whole corpus and on the criterion-4 K4-core families
+    records, _ = corpus_records
+    for rec in records:
+        want = reference_kernelize(rec.graph, PATTERNS[rec.pattern], record_history=True)
+        assert rec.summary == run_summary(want), (rec.pattern, list(rec.graph.edges()))
+    k3 = PATTERNS["K3"]
+    for extra in (200, 400):
+        g = _attachment_family(clique(4), extra, 42)
+        assert run_summary(kernelize(g, k3)) == run_summary(reference_kernelize(g, k3))
+    print(f"driver differential: PASS - {len(records)} corpus runs and 2 "
+          f"K4-core families identical to the reference driver")
 
 
 def test_criterion_5_span_soundness():

@@ -53,6 +53,12 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="unknown directive"):
             parse_graph("p edge 1 0\nx 1\n")
 
+    def test_comment_needs_exact_c_token(self):
+        with pytest.raises(ParseError, match="line 2: unknown directive 'cx'"):
+            parse_graph("p edge 1 0\ncx garbage\n")
+        g = parse_graph("c\n  c indented comment\np edge 2 1\nc\tafter a tab\ne 1 2\n")
+        assert g.n == 2 and g.m == 1
+
 
 class TestEmitGraph:
     def test_empty(self):
@@ -77,6 +83,14 @@ class TestEmitGraph:
         assert "c label 1 1" not in text  # identity mapping not emitted
         assert "c label 2 3" in text and "c label 3 4" in text
 
+    def test_label_comments_round_trip(self):
+        g = parse_graph("p edge 5 3\ne 1 2\ne 3 4\ne 4 5\n").without_vertices([0, 2])
+        text = emit_graph(g)
+        assert "c label 1 2" in text
+        back = parse_graph(text)
+        assert back.n == g.n and back.m == g.m
+        assert emit_graph(back, include_labels=False) == emit_graph(g, include_labels=False)
+
 
 class TestTsdFormat:
     def test_round_trip(self):
@@ -90,6 +104,20 @@ class TestTsdFormat:
     def test_rejects_out_of_range_cross_edge(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_tsd("p tsd 1 1\ne 1 4\n")
+
+    @pytest.mark.parametrize("edge", ["e x 1", "e 1 2.5", "e 1 -"])
+    def test_rejects_non_integer_endpoint(self, edge):
+        with pytest.raises(ParseError, match="line 3: non-integer endpoints"):
+            parse_tsd(f"p tsd 1 1\nc ok\n{edge}\n")
+
+    @pytest.mark.parametrize("header", ["p tsd -1 1", "p tsd 1 -2"])
+    def test_rejects_negative_sizes(self, header):
+        with pytest.raises(ParseError, match="line 1: negative sizes in header"):
+            parse_tsd(f"{header}\n")
+
+    def test_rejects_comment_lookalike(self):
+        with pytest.raises(ParseError, match="line 2: unknown directive"):
+            parse_tsd("p tsd 1 1\ncx garbage\n")
 
 
 class TestResolvePattern:
@@ -253,6 +281,19 @@ class TestCli:
         assert cli.main(["kernelize", "--graph", str(bad),
                          "--pattern", "K3"]) == cli.EXIT_FAILURE
         assert "self-loop" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("p tsd 1 1\ne 1 x\n", "line 2: non-integer endpoints"),
+        ("p tsd -1 1\n", "line 1: negative sizes in header"),
+        ("p tsd 1 1\ncx garbage\n", "line 2: unknown directive"),
+    ])
+    def test_malformed_tsd_fails_with_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.tsd"
+        bad.write_text(text)
+        code = cli.main(["compose", "--inputs", str(bad),
+                         "--out", str(tmp_path / "o.col")])
+        assert code == cli.EXIT_FAILURE
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

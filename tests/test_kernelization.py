@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hckernel.formats import parse_graph
 from hckernel.graphs import (
     Graph,
     is_twin_cover,
@@ -19,7 +22,13 @@ from hckernel.kernelization import (
     rule3_remove_isolated_clique,
 )
 
-from helpers import brute_h_colorable, brute_min_twin_cover_size, random_graph
+from helpers import (
+    brute_h_colorable,
+    brute_min_twin_cover_size,
+    random_graph,
+    reference_kernelize,
+    run_summary,
+)
 
 
 def clique(n):
@@ -288,3 +297,37 @@ class TestPlateauFamily:
         k = min_twin_cover(g50, guard=None).size
         assert is_twin_cover(g50, min_twin_cover(g50, guard=None).vertices)
         assert r50.graph.n <= kernel_size_bound(k, K3)
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    return random_graph(n, density, draw(st.randoms(use_true_random=False)))
+
+
+class TestReferenceDriver:
+    """The driver against the restart-everything driver in helpers: same
+    answer, kernel, counters and graph after every application."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_graphs(), st.sampled_from(sorted(PATTERNS)))
+    def test_random_graphs(self, g, name):
+        h = PATTERNS[name]
+        assert run_summary(kernelize(g, h, record_history=True)) == \
+            run_summary(reference_kernelize(g, h, record_history=True))
+
+    @pytest.mark.parametrize("extra", [50, 90])
+    def test_plateau_families(self, extra):
+        g = TestPlateauFamily().c5_family(extra, 7)
+        assert run_summary(kernelize(g, K3, record_history=True)) == \
+            run_summary(reference_kernelize(g, K3, record_history=True))
+
+    def test_labels_survive(self):
+        text = "p edge 7 8\n" + "".join(
+            f"e {u} {v}\n" for u, v in [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6),
+                                        (6, 7), (7, 4), (1, 4)])
+        g = parse_graph(text)
+        for h in PATTERNS.values():
+            assert run_summary(kernelize(g, h, record_history=True)) == \
+                run_summary(reference_kernelize(g, h, record_history=True))
