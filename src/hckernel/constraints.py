@@ -11,12 +11,20 @@ conditions on the coloring of the open neighborhood N(P) so that P itself
 
 Both families only mention indicator variables of vertices in N(P), and
 every row has degree at most Delta(H).
+
+Up to relabelling, the rows are the same for every neighborhood: a kind-P
+row is one selector template over positions 0..Delta(H) per
+(Delta(H)+1)-color subset, and the kind-Q color sequences of length k
+depend only on the target and the class size capped at omega(H)+1. Both
+pieces are memoized on the ``PatternGraph`` and built on first need, so
+``iter_class_constraint_keys`` only relabels them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .gf2 import GF2Constraint, Monomial, Var
@@ -101,6 +109,55 @@ def evaluate(constraint: GF2Constraint, assignment: PartialChoiceAssignment | Ma
     return total
 
 
+def color_sequences(h: PatternGraph, class_size: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Kind-Q pieces: the length-k color sequences, in ``itertools.product``
+    order, whose common neighborhood in the target has no clique of
+    ``class_size`` colors.
+
+    The answer depends only on the class size capped at omega(H)+1 (above
+    that every sequence qualifies), so it is memoized on the pattern: one
+    entry per capped size, holding the lists for k = 1, 2, ... up to the
+    largest k asked for so far. A list has up to |V(H)|**k sequences and is
+    built only once a neighborhood has k vertices.
+    """
+    cap = min(max(class_size, 0), h.clique_number + 1)
+    lists = h._sequence_memo.get(cap, ())
+    if len(lists) < k:
+        # replaced whole, never appended to, so racing threads stay correct
+        lists = h._sequence_memo[cap] = lists + tuple(
+            tuple(x for x in itertools.product(h.color_ids, repeat=j)
+                  if h.omega_of(h.common_neighborhood(x)) < cap)
+            for j in range(len(lists) + 1, k + 1))
+    return lists[k - 1]
+
+
+def _selector_templates(h: PatternGraph) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    """Kind-P pieces: per (Delta+1)-color subset x, the selector keys of
+    ``_selector_monomial_keys`` over positions 0..Delta instead of vertices.
+
+    A template is stored as one ``itemgetter`` that picks, monomial after
+    monomial, every (position, color) pair from a table holding the pair
+    (s[i], c) at ``i * |V(H)| + index of c``. Relabelling a sorted subset s
+    is then one table build and one call per x; the result is already
+    sorted and duplicate-free, because i -> s[i] is increasing. Built on
+    first use and memoized on the pattern (K9's template alone has 9!
+    monomials).
+    """
+    got = h._selector_memo
+    if got is None:
+        q = h.max_degree + 1
+        colors = h.color_ids
+        index = {c: i for i, c in enumerate(colors)}
+        positions = tuple(range(q))
+        got = []
+        for x in itertools.combinations(colors, q):
+            keys = sorted(set(_selector_monomial_keys(positions, x)))
+            got.append((x, itemgetter(*(i * len(colors) + index[c]
+                                        for key in keys for i, c in key))))
+        got = h._selector_memo = tuple(got)
+    return got
+
+
 def iter_class_constraint_keys(
     h: PatternGraph, class_size: int, neighborhood: tuple[int, ...]
 ) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]]:
@@ -108,25 +165,30 @@ def iter_class_constraint_keys(
 
     ``neighborhood`` must be sorted. This generator is the single source of
     truth for row generation; the object layer and the kernelizer fast path
-    both consume it.
+    both consume it. Rows are relabelled per-pattern pieces (see
+    ``_selector_templates`` and ``color_sequences``); monomial keys are
+    sorted tuples of (vertex, color) pairs, listed in increasing order.
     """
     d = h.max_degree
-    colors = h.color_ids
     # kind P: no Delta+1 neighbours may be rainbow-colored. No subsets exist
     # when the neighborhood is not larger than Delta(H).
     if len(neighborhood) >= d + 1:
+        colors = h.color_ids
+        templates = _selector_templates(h)
         for s in itertools.combinations(neighborhood, d + 1):
-            for x in itertools.combinations(colors, d + 1):
-                keys = tuple(sorted(set(_selector_monomial_keys(s, x))))
-                yield ("P", s, x, keys)
+            table = [(v, c) for v in s for c in colors]
+            for x, pick in templates:
+                # every monomial has exactly d pairs
+                yield ("P", s, x, tuple(zip(*[iter(pick(table))] * d)))
     # kind Q: forbid neighborhood palettes that leave no room for the class
     # clique in the target.
-    for k in range(1, d + 1):
+    for k in range(1, min(d, len(neighborhood)) + 1):
+        seqs = color_sequences(h, class_size, k)
+        if not seqs:
+            continue
         for s in itertools.combinations(neighborhood, k):
-            for x in itertools.product(colors, repeat=k):
-                common = h.common_neighborhood(x)
-                if h.omega_of(common) < class_size:
-                    yield ("Q", s, x, (tuple(sorted(zip(s, x))),))
+            for x in seqs:
+                yield ("Q", s, x, (tuple(zip(s, x)),))
 
 
 def build_constraints_for_class(g: Graph, h: PatternGraph, p: Iterable[int]) -> ConstraintSet:

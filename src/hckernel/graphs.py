@@ -177,6 +177,9 @@ class PatternGraph:
     clique_number: int
     is_bipartite: bool
     _omega_memo: dict[frozenset[int], int] = field(default_factory=dict, repr=False)
+    # per-pattern row pieces, filled on first use by hckernel.constraints
+    _sequence_memo: dict[int, tuple] = field(default_factory=dict, repr=False)
+    _selector_memo: tuple | None = field(default=None, repr=False)
 
     @property
     def color_ids(self) -> tuple[int, ...]:

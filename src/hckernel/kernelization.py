@@ -35,19 +35,18 @@ scratch after every application. Only the work per application is less:
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterator, Mapping
 
-from .constraints import iter_class_constraint_keys
+from .constraints import color_sequences, iter_class_constraint_keys
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
 from .graphs import Graph, PatternGraph, TwinDecomposition, twin_decomposition
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelStats:
     """Counters collected while kernelizing one instance."""
 
@@ -220,7 +219,6 @@ class _SpanEngine:
         self.h = h
         self.interner = MonomialInterner()
         self._rows: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._seq_counts: dict[tuple[int, int], int] = {}
         self._estimates: dict[tuple[int, int], int] = {}
         self.span_tests = 0
         self.rows_considered = 0
@@ -228,19 +226,6 @@ class _SpanEngine:
 
     def _cap(self, class_size: int) -> int:
         return min(class_size, self.h.clique_number + 1)
-
-    def _color_seq_count(self, class_size: int, k: int) -> int:
-        """Number of length-k color sequences whose common neighborhood in
-        the target has no clique of the class size."""
-        key = (self._cap(class_size), k)
-        got = self._seq_counts.get(key)
-        if got is None:
-            h = self.h
-            got = sum(
-                1 for seq in itertools.product(h.color_ids, repeat=k)
-                if h.omega_of(h.common_neighborhood(seq)) < key[0])
-            self._seq_counts[key] = got
-        return got
 
     def estimate_rows(self, class_size: int, nbhd_size: int) -> int:
         """Exact row count for a class, without materializing anything."""
@@ -252,10 +237,8 @@ class _SpanEngine:
         total = 0
         if nbhd_size >= d + 1:
             total += math.comb(nbhd_size, d + 1) * math.comb(self.h.num_colors, d + 1)
-        for k in range(1, d + 1):
-            count = self._color_seq_count(class_size, k)
-            if count:
-                total += math.comb(nbhd_size, k) * count
+        for k in range(1, min(d, nbhd_size) + 1):
+            total += math.comb(nbhd_size, k) * len(color_sequences(self.h, class_size, k))
         self._estimates[key] = total
         return total
 

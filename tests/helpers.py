@@ -9,6 +9,7 @@ reference kernelization driver at the end is the same kind of route for
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import time
@@ -130,12 +131,45 @@ def petersen_edges() -> list[tuple[int, int]]:
     return edges
 
 
+# -- reference row generator -----------------------------------------------
+#
+# The generator that the per-pattern row pieces replaced, kept as the
+# differential oracle for ``iter_class_constraint_keys``: it derives every
+# selector polynomial and every admissible color sequence afresh for each
+# neighborhood subset.
+
+def _reference_selector_keys(rows, cols):
+    q = len(rows)
+    for sel in itertools.permutations(range(q), q - 1):
+        yield tuple(sorted((rows[i], cols[k]) for k, i in enumerate(sel)))
+
+
+def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int, ...]):
+    """Yield (kind, s, x, monomial_keys) rows for one twin class."""
+    d = h.max_degree
+    colors = h.color_ids
+    if len(neighborhood) >= d + 1:
+        for s in itertools.combinations(neighborhood, d + 1):
+            for x in itertools.combinations(colors, d + 1):
+                keys = tuple(sorted(set(_reference_selector_keys(s, x))))
+                yield ("P", s, x, keys)
+    for k in range(1, d + 1):
+        for s in itertools.combinations(neighborhood, k):
+            for x in itertools.product(colors, repeat=k):
+                common = h.common_neighborhood(x)
+                if h.omega_of(common) < class_size:
+                    yield ("Q", s, x, (tuple(sorted(zip(s, x))),))
+
+
 # -- reference kernelization driver ----------------------------------------
 #
 # The restart-everything driver that ``kernelize`` replaced, kept as the
 # differential oracle: after every rule application it recomputes the twin
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
-# It shares only row generation and the row estimate with the library.
+# It shares ``_SpanEngine`` with the library: the rows (``class_rows``),
+# the row estimate and the monomial interner. So it checks the driver and
+# cannot catch a row-generation bug; ``reference_class_constraint_keys``
+# is the oracle for that.
 
 def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     removed = g.edges_between(p1, p2)
@@ -252,7 +286,7 @@ def run_summary(res: KernelResult) -> tuple:
     """Everything two kernelization drivers must agree on: the answer, the
     kernel with its labels, every counter except the time, and the graph
     after every rule application."""
-    stats = {k: v for k, v in vars(res.stats).items() if k != "time_seconds"}
+    stats = {k: v for k, v in dataclasses.asdict(res.stats).items() if k != "time_seconds"}
     graph = None if res.graph is None else (res.graph, res.graph.labels)
     steps = tuple((s.rule, s.detail, s.graph, s.graph.labels) for s in res.history)
     return res.trivial_no, graph, stats, steps

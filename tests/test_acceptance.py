@@ -328,6 +328,7 @@ def test_criterion_6_blocking_gadget():
           f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_composition_or_equivalence():
     # all four truth patterns at t=4, n=1 with single-vertex independent
     # sides (the largest configuration whose every bundle reliably fits
@@ -382,6 +383,7 @@ def test_criterion_8_composition_size_accounting():
     print(f"criterion 8: PASS - exact term sums, sqrt(t) ratio {ratio:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_9_bookkeeping_bounds(corpus_records):
     records, _ = corpus_records
     seen_pairs = set()

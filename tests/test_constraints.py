@@ -1,9 +1,12 @@
 """Coloring polynomial semantics and the per-class constraint families."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hckernel.constraints import (
     PartialChoiceAssignment,
@@ -12,11 +15,14 @@ from hckernel.constraints import (
     build_constraints_for_class,
     constraint_count_bound,
     evaluate,
+    iter_class_constraint_keys,
 )
+from hckernel.formats import resolve_pattern
 from hckernel.gf2 import Monomial, Var
 from hckernel.graphs import Graph, pattern_analyze, twin_decomposition
+from hckernel.kernelization import _SpanEngine, kernelize
 
-from helpers import enumerate_h_colorings, random_graph
+from helpers import enumerate_h_colorings, random_graph, reference_class_constraint_keys
 
 
 def clique(n):
@@ -213,3 +219,84 @@ class TestColoringsSatisfyConstraints:
                             continue
                         assert extends(g, h, cls, coloring), \
                             (list(g.edges()), sorted(cls), coloring)
+
+
+ROW_PATTERNS = ("K3", "K4", "K5", "C5", "C7", "petersen")
+ROW_TARGETS = {name: resolve_pattern(name) for name in ROW_PATTERNS}
+
+
+def row_cases(h):
+    """Class sizes 1..omega+2 and neighborhood sizes 0..Delta+3."""
+    for size in range(1, h.clique_number + 3):
+        for m in range(h.max_degree + 4):
+            yield size, m
+
+
+class TestRowPieces:
+    """The relabelled per-pattern pieces yield exactly the rows that
+    deriving every row afresh yields."""
+
+    @pytest.mark.parametrize("name", ROW_PATTERNS)
+    def test_generator_matches_reference(self, name):
+        h = resolve_pattern(name)
+        rng = random.Random(41)
+        for size, m in row_cases(h):
+            nbhd = tuple(sorted(rng.sample(range(60), m)))
+            assert list(iter_class_constraint_keys(h, size, nbhd)) == \
+                list(reference_class_constraint_keys(h, size, nbhd)), (size, nbhd)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(ROW_PATTERNS).flatmap(lambda name: st.tuples(
+        st.just(name),
+        st.integers(1, ROW_TARGETS[name].clique_number + 2),
+        st.lists(st.integers(0, 40), unique=True,
+                 max_size=ROW_TARGETS[name].max_degree + 3))))
+    def test_generator_matches_reference_property(self, case):
+        # the targets are shared across examples, so the memos fill up in
+        # arbitrary order
+        name, size, ids = case
+        h = ROW_TARGETS[name]
+        nbhd = tuple(sorted(ids))
+        assert list(iter_class_constraint_keys(h, size, nbhd)) == \
+            list(reference_class_constraint_keys(h, size, nbhd))
+
+    @pytest.mark.parametrize("name", ROW_PATTERNS)
+    def test_estimate_is_exact_row_count(self, name):
+        # the pair ranking orders classes by this estimate
+        h = resolve_pattern(name)
+        engine = _SpanEngine(h)
+        for size, m in row_cases(h):
+            rows, _ = engine.class_rows(size, tuple(range(m)))
+            assert engine.estimate_rows(size, m) == len(rows), (size, m)
+
+
+class TestRowPieceMemo:
+    """The pieces live on the pattern, are built only when a neighborhood
+    needs them and stay bounded."""
+
+    @pytest.mark.parametrize("name", ["K3", "C5", "K9", "petersen"])
+    def test_nothing_built_up_front(self, name):
+        h = resolve_pattern(name)
+        assert h._selector_memo is None and h._sequence_memo == {}
+        kernelize(Graph.from_edges(4, []), h)
+        assert h._selector_memo is None and h._sequence_memo == {}
+
+    def test_k9_class_with_eight_neighbors_builds_no_selector_template(self):
+        # a kind-P row needs Delta+1 = 9 neighbors; kind-P rows come first,
+        # so the first row is kind Q once no template was needed
+        h = resolve_pattern("K9")
+        rows = iter_class_constraint_keys(h, 9, tuple(range(8)))
+        assert next(rows) == ("Q", (0,), (0,), (((0, 0),),))
+        assert h._selector_memo is None
+        assert list(h._sequence_memo) == [9]
+        assert len(h._sequence_memo[9]) == 1
+
+    def test_memo_bounded_after_many_hosts(self):
+        rng = random.Random(43)
+        for name in ("K3", "K4", "C5"):
+            h = resolve_pattern(name)
+            for _ in range(40):
+                kernelize(random_graph(rng.randint(6, 10), 0.5, rng), h)
+            assert 1 <= len(h._sequence_memo) <= h.clique_number + 1
+            assert all(len(lists) <= h.max_degree for lists in h._sequence_memo.values())
+            assert len(h._selector_memo) == math.comb(h.num_colors, h.max_degree + 1)
