@@ -10,6 +10,9 @@ Two workloads:
   since the backend is chosen at import time).
 
 Run:  python benchmarks/bench_gf2.py
+
+The package is imported from this checkout's ``src/``, here and in the
+subprocesses, so no install is needed.
 """
 
 from __future__ import annotations
@@ -20,8 +23,12 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-from hckernel.gf2 import available_backends
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from hckernel.gf2 import available_backends  # noqa: E402
 
 
 def synthetic_workload(ncols: int, nrows: int, density: float, seed: int) -> list[int]:
@@ -99,7 +106,8 @@ def run_kernelization() -> None:
     print("\n== kernelization end to end (180 runs) ==")
     results = {}
     for name in available_backends():
-        env = dict(os.environ, HCKERNEL_GF2_BACKEND=name)
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, HCKERNEL_GF2_BACKEND=name, PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", KERNEL_SNIPPET],
                              env=env, capture_output=True, text=True, check=True)
         backend, seconds = out.stdout.split()

@@ -162,6 +162,26 @@ class GF2Constraint:
         return total
 
 
+class _InternedIds(dict):
+    """Key -> id map that interns a key the first time it is indexed.
+
+    Only a miss runs Python code, so ``ids[key]`` costs one dict lookup for
+    a key seen before. Each new key's vertex set is recorded once, at the
+    index of its id.
+    """
+
+    __slots__ = ("vertex_sets",)
+
+    def __init__(self):
+        super().__init__()
+        self.vertex_sets: list[frozenset[int]] = []
+
+    def __missing__(self, key: tuple) -> int:
+        idx = self[key] = len(self)
+        self.vertex_sets.append(frozenset([v for v, _c in key]))
+        return idx
+
+
 class MonomialInterner:
     """Assigns stable bit indices to monomial keys in first-seen order.
 
@@ -173,18 +193,24 @@ class MonomialInterner:
     __slots__ = ("_ids",)
 
     def __init__(self):
-        self._ids: dict[tuple, int] = {}
+        self._ids = _InternedIds()
 
     @property
     def size(self) -> int:
         return len(self._ids)
 
+    @property
+    def ids(self) -> Mapping[tuple, int]:
+        """Key -> id; indexing it with an unseen key interns that key."""
+        return self._ids
+
+    @property
+    def vertex_sets(self) -> Sequence[frozenset[int]]:
+        """The vertices each id's monomial mentions, indexed by id."""
+        return self._ids.vertex_sets
+
     def id_of(self, key: tuple) -> int:
-        got = self._ids.get(key)
-        if got is None:
-            got = len(self._ids)
-            self._ids[key] = got
-        return got
+        return self._ids[key]
 
     def lookup(self, key: tuple) -> int | None:
         return self._ids.get(key)

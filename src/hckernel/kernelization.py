@@ -30,7 +30,12 @@ scratch after every application. Only the work per application is less:
 * the partners of a class are listed only when the ranking reaches it;
 * removing an isolated class leaves every other class as it was, so all
   isolated classes of a pass go at once, in order of smallest member, each
-  counted as the pass it would take on its own.
+  counted as the pass it would take on its own;
+* a rule 2 test that fails is usually refuted from the neighborhoods
+  alone, before any source row is built or eliminated: a monomial of the
+  tested class that mentions a vertex of p2 and lies in no other class's
+  neighborhood can come from no source row (see ``_SpanEngine``). A
+  refuted test counts the rows the full test would have considered.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ import math
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import AbstractSet, Iterator, Mapping
 
 from .constraints import color_sequences, iter_class_constraint_keys
@@ -48,7 +55,14 @@ from .graphs import Graph, PatternGraph, TwinDecomposition, twin_decomposition
 
 @dataclass(slots=True)
 class KernelStats:
-    """Counters collected while kernelizing one instance."""
+    """Counters collected while kernelizing one instance.
+
+    ``span_tests`` counts rule 2 tests and ``span_refuted`` those among
+    them that failed on the neighborhood certificate, without elimination.
+    ``rows_considered`` counts the source rows every test would feed to
+    the basis, refuted ones included. ``max_basis_rank`` is the largest
+    basis an elimination actually built: a refuted test builds none.
+    """
 
     input_n: int = 0
     input_m: int = 0
@@ -62,6 +76,7 @@ class KernelStats:
     removed_vertices: int = 0
     removed_edges: int = 0
     span_tests: int = 0
+    span_refuted: int = 0
     rows_considered: int = 0
     max_basis_rank: int = 0
     time_seconds: float = 0.0
@@ -69,7 +84,7 @@ class KernelStats:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "input": {"n": self.input_n, "m": self.input_m},
             "kernel": {"n": self.kernel_n, "m": self.kernel_m},
             "twin_classes": self.twin_classes,
@@ -77,6 +92,7 @@ class KernelStats:
             "rules": {"rule1": self.rule1, "rule2": self.rule2, "rule3": self.rule3},
             "removed": {"vertices": self.removed_vertices, "edges": self.removed_edges},
             "span_tests": self.span_tests,
+            "span_refuted": self.span_refuted,
             "rows_considered": self.rows_considered,
             "max_basis_rank": self.max_basis_rank,
             "time_seconds": self.time_seconds,
@@ -199,6 +215,16 @@ class _TwinClasses:
                 yield a1, a2
 
 
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, found in its binary string."""
+    digits = format(mask, "b")
+    top = len(digits) - 1
+    i = digits.find("1")
+    while i >= 0:
+        yield top - i
+        i = digits.find("1", i + 1)
+
+
 class _SpanEngine:
     """Shared interner plus per-neighborhood row cache for rule 2 tests.
 
@@ -206,6 +232,16 @@ class _SpanEngine:
     neighborhood), so repeated tests across the run reuse the cached
     bitmasks. Class sizes above omega(H)+1 behave identically because
     omega(H[Y]) < size is then always true.
+
+    Most failing tests are refuted before any source row is built. Every
+    row mentions only variables of vertices in its own class's
+    neighborhood. After E(p1, p2) is deleted, a vertex of p2 lies in
+    neither N(p1) - p2 nor N(p2) - p1, so a monomial of p1's rows whose
+    vertex set T meets p2 occurs in a source row only if T lies in N(c)
+    for some class c other than p1 and p2. When no such c exists, no sum
+    of source rows has that monomial, while the target row that holds it
+    has it with coefficient 1: the test fails. The vertex sets of a row
+    family are collected once, the first time it is a target.
 
     Row families grow like |N(P)|**(Delta+1), so classes are fed into the
     basis cheapest first and the test exits as soon as every target is
@@ -219,8 +255,10 @@ class _SpanEngine:
         self.h = h
         self.interner = MonomialInterner()
         self._rows: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._vertex_sets: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
         self.span_tests = 0
+        self.span_refuted = 0
         self.rows_considered = 0
         self.max_basis_rank = 0
 
@@ -249,15 +287,45 @@ class _SpanEngine:
         key = (self._cap(class_size), neighborhood)
         got = self._rows.get(key)
         if got is None:
-            interner = self.interner
+            ids = self.interner.ids   # indexing interns an unseen key
             masks = []
             for _kind, _s, _x, keys in iter_class_constraint_keys(self.h, key[0], neighborhood):
                 mask = 0
                 for mk in keys:
-                    mask |= 1 << interner.id_of(mk)
+                    mask |= 1 << ids[mk]
                 masks.append(mask)
             got = self._rows[key] = (tuple(masks), tuple(sorted(set(masks))))
         return got
+
+    def vertex_sets(self, class_size: int, neighborhood: tuple[int, ...]
+                    ) -> tuple[frozenset[int], ...]:
+        """The distinct vertex sets of the monomials in a class's rows."""
+        key = (self._cap(class_size), neighborhood)
+        got = self._vertex_sets.get(key)
+        if got is None:
+            union = reduce(or_, self.class_rows(class_size, neighborhood)[1], 0)
+            by_id = self.interner.vertex_sets
+            got = self._vertex_sets[key] = tuple({by_id[i] for i in _set_bits(union)})
+        return got
+
+    def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
+        """The neighborhood certificate of a failing test (class docstring):
+        some monomial of p1's rows meets p2 and lies in the neighborhood of
+        no other class."""
+        p2 = tc.members[a2]
+        nbhd = tc.nbhd
+        covers = None
+        for t in self.vertex_sets(len(tc.members[a1]), tc.sorted_nbhd(a1)):
+            if p2.isdisjoint(t):
+                continue   # p1's reduced rows may hold it
+            if covers is None:
+                # a class whose neighborhood holds a vertex of p2 is joined
+                # to p2; p1 is excluded, p2 is never in its own neighborhood
+                class_of = tc.class_of
+                covers = [nbhd[c] for c in {class_of[u] for u in nbhd[a2]} if c != a1]
+            if not any(t <= nb for nb in covers):
+                return True
+        return False
 
     def span_test(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
         """Rule 2 on the ordered pair (p1, p2) of classes, given by anchor.
@@ -271,8 +339,8 @@ class _SpanEngine:
         self.span_tests += 1
         members = tc.members
         p1, p2 = members[a1], members[a2]
-        targets, _ = self.class_rows(len(p1), tc.sorted_nbhd(a1))
-        if not targets:
+        rows, targets = self.class_rows(len(p1), tc.sorted_nbhd(a1))
+        if not rows:
             # empty target set is vacuously in any span
             return True
 
@@ -280,6 +348,11 @@ class _SpanEngine:
                    a2: tuple(sorted(tc.nbhd[a2] - p1))}
         sources = tc.reranked({a: self.estimate_rows(len(members[a]), len(nbhd))
                                for a, nbhd in reduced.items()})
+        if self._refuted(tc, a1, a2):
+            # a failing test feeds every source; the estimates are exact
+            self.span_refuted += 1
+            self.rows_considered += sum(est for est, _a in sources)
+            return False
 
         basis = MaskBasis(self.interner.size)
         pending = list(targets)
@@ -295,8 +368,9 @@ class _SpanEngine:
                 grew |= basis.insert(mask)
             self.rows_considered += len(rows)
             self.max_basis_rank = max(self.max_basis_rank, basis.rank)
-            if grew:
-                pending = [t for t in pending if not basis.contains(t)]
+            # covered targets stay covered: check until the first that is not
+            while grew and basis.contains(pending[-1]):
+                pending.pop()
                 if not pending:
                     return True
         return False
@@ -414,6 +488,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         record("rule2", f"removed edges between classes {sorted(p1)} and {sorted(p2)}")
 
     stats.span_tests = engine.span_tests
+    stats.span_refuted = engine.span_refuted
     stats.rows_considered = engine.rows_considered
     stats.max_basis_rank = engine.max_basis_rank
     kernel = None if trivial else _freeze(adj, g.labels)

@@ -169,7 +169,26 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 # It shares ``_SpanEngine`` with the library: the rows (``class_rows``),
 # the row estimate and the monomial interner. So it checks the driver and
 # cannot catch a row-generation bug; ``reference_class_constraint_keys``
-# is the oracle for that.
+# is the oracle for that. It decides the neighborhood refutation of a span
+# test with its own code and still eliminates every test in full, so
+# refuting a test that the elimination passes trips an assertion here.
+
+def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
+    """Some monomial of p1's rows mentions a vertex of p2, and no class
+    other than p1 and p2 has all of its vertices as neighbours."""
+    keys = engine.interner.keys_by_id()
+    others = [g.neighborhood_of_set(c) for c in pi.classes if c != p1 and c != p2]
+    for row in targets:
+        idx = 0
+        while row:
+            if row & 1:
+                vs = {v for v, _c in keys[idx]}
+                if vs & p2 and not any(vs <= nb for nb in others):
+                    return True
+            row >>= 1
+            idx += 1
+    return False
+
 
 def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     removed = g.edges_between(p1, p2)
@@ -179,6 +198,8 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))[0]
     if not targets:
         return g.without_edges(removed)
+    refuted = _reference_refuted(engine, g, pi, p1, p2, targets)
+    engine.span_refuted += refuted
 
     sources = []
     for cls in pi.classes:
@@ -194,6 +215,8 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
 
     basis = MaskBasis(engine.interner.size)
     pending = list(targets)
+    in_span = False
+    rank = 0
     for _est, _anchor, size, nbhd_t in sources:
         rows = engine.class_rows(size, nbhd_t)[0]
         if not rows:
@@ -203,12 +226,17 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
         for mask in sorted(set(rows)):
             grew |= basis.insert(mask)
         engine.rows_considered += len(rows)
-        engine.max_basis_rank = max(engine.max_basis_rank, basis.rank)
+        rank = basis.rank
         if grew:
             pending = [t for t in pending if not basis.contains(t)]
             if not pending:
-                return g.without_edges(removed)
-    return None
+                in_span = True
+                break
+    assert not (refuted and in_span), "refuted a span test that succeeds"
+    if not refuted:
+        # a refuted test builds no basis in the library
+        engine.max_basis_rank = max(engine.max_basis_rank, rank)
+    return g.without_edges(removed) if in_span else None
 
 
 def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
@@ -273,6 +301,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
             break
 
     stats.span_tests = engine.span_tests
+    stats.span_refuted = engine.span_refuted
     stats.rows_considered = engine.rows_considered
     stats.max_basis_rank = engine.max_basis_rank
     stats.kernel_n = 0 if trivial else work.n

@@ -17,7 +17,7 @@ from hckernel.formats import (
 )
 from hckernel.graphs import Graph, PatternError
 
-from helpers import random_graph
+from helpers import petersen_edges, random_graph
 
 
 class TestParseGraph:
@@ -177,6 +177,22 @@ class TestCli:
         assert payload["rules"]["rule3"] == 5
         assert payload["kernel"] == {"n": 0, "m": 0}
         assert payload["kernel"]["n"] <= payload["input"]["n"]
+
+    def test_kernelize_stats_span_counters(self, tmp_path):
+        # Petersen graph: every K3 span test is refuted from neighborhoods,
+        # so no elimination builds a basis
+        edges = petersen_edges()
+        graph_file = tmp_path / "petersen.col"
+        graph_file.write_text(f"p edge 10 {len(edges)}\n"
+                              + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges))
+        stats = tmp_path / "stats.json"
+        code = cli.main(["kernelize", "--graph", str(graph_file), "--pattern", "K3",
+                         "--stats", str(stats)])
+        assert code == 0
+        payload = json.loads(stats.read_text())
+        assert payload["version"] == 2
+        assert payload["span_tests"] == payload["span_refuted"] == 30
+        assert payload["max_basis_rank"] == 0
 
     def test_kernelize_trivial_no(self, tmp_path, capsys):
         graph_file = tmp_path / "k4.col"

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hckernel.constraints import build_constraints_for_class
 from hckernel.formats import parse_graph
+from hckernel.gf2 import GF2Basis, in_span
 from hckernel.graphs import (
     Graph,
     is_twin_cover,
@@ -15,6 +17,8 @@ from hckernel.graphs import (
     twin_decomposition,
 )
 from hckernel.kernelization import (
+    _SpanEngine,
+    _TwinClasses,
     kernel_size_bound,
     kernelize,
     rule1_trivial_no,
@@ -25,6 +29,7 @@ from hckernel.kernelization import (
 from helpers import (
     brute_h_colorable,
     brute_min_twin_cover_size,
+    petersen_edges,
     random_graph,
     reference_kernelize,
     run_summary,
@@ -114,6 +119,105 @@ class TestRule2:
                         assert brute_h_colorable(g, h.graph) == \
                             brute_h_colorable(got, h.graph)
         assert fired > 0
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    return random_graph(n, density, draw(st.randoms(use_true_random=False)))
+
+
+def object_rows(g, h, cls):
+    return [row.poly for row in build_constraints_for_class(g, h, cls).constraints]
+
+
+def object_layer_rows(g, h, pi, p1, p2, rows=None):
+    """Rule 2's (targets, generators) as constraint objects: the rows of p1,
+    and the rows of all of pi's classes in the graph without E(p1, p2).
+    ``rows`` may hold each class's rows in g; only p1 and p2 have other
+    rows once the edges are gone."""
+    if rows is None:
+        rows = {cls: object_rows(g, h, cls) for cls in pi.classes}
+    reduced = g.without_edges(g.edges_between(p1, p2))
+    gens = [poly for cls in pi.classes
+            for poly in (object_rows(reduced, h, cls) if cls in (p1, p2) else rows[cls])]
+    return rows[p1], gens
+
+
+def object_layer_rule2(g, h, pi, p1, p2, rows=None) -> bool:
+    """Every target in the span of the generators. This is ``in_span`` per
+    target with the basis built once: a basis per target is too slow for
+    the property test."""
+    targets, gens = object_layer_rows(g, h, pi, p1, p2, rows)
+    basis = GF2Basis()
+    for poly in gens:
+        basis.add(poly)
+    return all(basis.contains(poly) for poly in targets)
+
+
+def span_engine_test(g, h, p1, p2):
+    """Run one span test on a fresh engine; (answer, engine)."""
+    pi = twin_decomposition(g)
+    engine = _SpanEngine(h)
+    tc = _TwinClasses(g, pi, engine)
+    return engine.span_test(tc, min(p1), min(p2)), engine
+
+
+class TestSpanOracle:
+    """The mask engine's rule 2 answer against the object layer, which
+    shares neither its masks nor its interner."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(small_graphs(max_n=9), st.sampled_from(sorted(PATTERNS)))
+    def test_every_adjacent_pair(self, g, name):
+        h = PATTERNS[name]
+        pi = twin_decomposition(g)
+        rows = {cls: object_rows(g, h, cls) for cls in pi.classes}
+        for p1 in pi.classes:
+            for p2 in pi.classes:
+                if p1 != p2 and g.edges_between(p1, p2):
+                    assert (rule2_try_remove_edges(g, h, pi, p1, p2) is not None) == \
+                        object_layer_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
+
+    def test_refuted_from_neighborhoods(self):
+        # star: the row of the centre has the monomial on leaves {0, 1},
+        # and no class but the centre's is adjacent to leaf 0
+        g = Graph.from_edges(4, [(3, 0), (3, 1), (3, 2)])
+        pi = twin_decomposition(g)
+        p1, p2 = frozenset({3}), frozenset({0})
+        got, engine = span_engine_test(g, K3, p1, p2)
+        assert not got
+        assert (engine.span_tests, engine.span_refuted) == (1, 1)
+        # only the tested class's rows were built
+        assert list(engine._rows) == [(1, (0, 1, 2))]
+        assert engine.max_basis_rank == 0
+        assert engine.rows_considered == 0   # every source has an empty family
+        targets, gens = object_layer_rows(g, K3, pi, p1, p2)
+        assert not all(in_span(t, gens) for t in targets)
+
+    def test_fails_only_through_elimination(self):
+        # K4 on 0..3 plus vertex 4 on 0: class {1, 2, 3} has the rows
+        # x[0] = c, which class {4} covers by neighborhood but not by rows
+        g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3)])
+        pi = twin_decomposition(g)
+        p1, p2 = frozenset({1, 2, 3}), frozenset({0})
+        got, engine = span_engine_test(g, K3, p1, p2)
+        assert not got
+        assert (engine.span_tests, engine.span_refuted) == (1, 0)
+        # the sources were built, since the test was not refuted
+        assert len(engine._rows) == 4
+        targets, gens = object_layer_rows(g, K3, pi, p1, p2)
+        assert not all(in_span(t, gens) for t in targets)
+
+    def test_refutation_counts_like_full_test(self):
+        # a refuted test adds the rows a full failing test would consider
+        g = Graph.from_edges(10, petersen_edges())
+        res = kernelize(g, K3)
+        want = reference_kernelize(g, K3)
+        assert res.stats.span_refuted == res.stats.span_tests == 30
+        assert res.stats.max_basis_rank == 0
+        assert run_summary(res) == run_summary(want)
 
 
 class TestRule3:
@@ -297,13 +401,6 @@ class TestPlateauFamily:
         k = min_twin_cover(g50, guard=None).size
         assert is_twin_cover(g50, min_twin_cover(g50, guard=None).vertices)
         assert r50.graph.n <= kernel_size_bound(k, K3)
-
-
-@st.composite
-def small_graphs(draw, max_n=12):
-    n = draw(st.integers(0, max_n))
-    density = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
-    return random_graph(n, density, draw(st.randoms(use_true_random=False)))
 
 
 class TestReferenceDriver:
