@@ -34,7 +34,6 @@ from .gf2 import (
     GF2Constraint,
     Monomial,
     Var,
-    add_to_basis,
     in_span,
     monomial_count_bound,
 )

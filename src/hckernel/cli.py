@@ -5,8 +5,7 @@ guard exceeded, gadget check failure), 2 usage error, 3 kernelization
 answered TRIVIAL-NO.
 
 Environment knobs: HCKERNEL_SOLVE_GUARD (vertex guard for the exact
-solvers), HCKERNEL_COVER_GUARD (vertex guard for the exact twin-cover),
-HCKERNEL_GF2_BACKEND=pure|compiled (force the elimination backend).
+solvers), HCKERNEL_COVER_GUARD (vertex guard for the exact twin-cover).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import composer, formats, gf2, kernelization, oracle
+from . import composer, formats, kernelization, oracle
 from .graphs import CapacityError, PatternError, min_twin_cover, twin_decomposition
 
 EXIT_OK = 0
@@ -178,8 +177,7 @@ def _cmd_bound(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hckernel",
-        description="Twin-class kernelization toolkit for H-coloring instances "
-                    f"(GF(2) backend: {gf2.BACKEND})")
+        description="Twin-class kernelization toolkit for H-coloring instances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernelize", help="shrink an instance with the reduction rules")

@@ -5,87 +5,66 @@ this color". A constraint is stored sparsely as the set of its
 coefficient-1 monomials, which makes the GF(2) coefficient vector
 canonical without ever materializing the dense monomial universe.
 
-Backend selection: the compiled extension (``_gf2core``) is used when it
-imported successfully, otherwise the pure-Python fallback (``_gf2py``).
-Set ``HCKERNEL_GF2_BACKEND=pure`` or ``=compiled`` to force a choice.
+Elimination works on int bitmasks: ``MonomialInterner`` gives each
+monomial a bit and ``MaskBasis`` reduces rows by pivot. ``GF2Basis`` is
+the same basis seen through constraints.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import _gf2py
-
-try:
-    from . import _gf2core
-except ImportError:  # extension not built; fall back silently
-    _gf2core = None
-
-_requested = os.environ.get("HCKERNEL_GF2_BACKEND", "").strip().lower()
-if _requested == "pure":
-    _impl = _gf2py
-elif _requested == "compiled":
-    if _gf2core is None:
-        raise ImportError(
-            "HCKERNEL_GF2_BACKEND=compiled but the extension is not built; "
-            "run `pip install -e .` or `python setup.py build_ext --inplace`")
-    _impl = _gf2core
-elif _requested:
-    raise ValueError(f"unknown HCKERNEL_GF2_BACKEND value: {_requested!r}")
-else:
-    _impl = _gf2core if _gf2core is not None else _gf2py
-
-BACKEND = _impl.BACKEND_NAME
-
-
-def make_xor_basis(num_columns: int):
-    """A raw elimination basis from the selected backend."""
-    return _impl.XorBasis(num_columns)
-
-
-def available_backends() -> dict[str, object]:
-    """Importable backend modules keyed by name (for tests and benchmarks)."""
-    out = {"pure": _gf2py}
-    if _gf2core is not None:
-        out["compiled"] = _gf2core
-    return out
+# name of the elimination implementation, written to the stats JSON
+BACKEND = "pure"
 
 
 class MaskBasis:
-    """Backend basis over raw int masks with a growing column capacity.
+    """Row basis over GF(2) with pivot-indexed reduction.
 
-    The compiled backend fixes its column universe at construction, so the
-    wrapper rebuilds it (re-inserting the reduced rows) whenever the
-    interned-monomial universe outgrows it.
+    Rows are arbitrary-precision int bitmasks; bit i is the coefficient of
+    the monomial interned at index i, so rows of any width are accepted.
+    Stored rows are in row-echelon form: each has a distinct leading
+    (highest) bit, used as the pivot during reduction.
     """
 
-    __slots__ = ("_capacity", "_basis")
+    __slots__ = ("_pivots",)
 
-    def __init__(self, capacity: int = 64):
-        self._capacity = max(capacity, 1)
-        self._basis = make_xor_basis(self._capacity)
-
-    def ensure_columns(self, num_columns: int) -> None:
-        if num_columns <= self._capacity:
-            return
-        while self._capacity < num_columns:
-            self._capacity *= 2
-        fresh = make_xor_basis(self._capacity)
-        for row in self._basis.rows():
-            fresh.insert(row)
-        self._basis = fresh
-
-    def insert(self, mask: int) -> bool:
-        return self._basis.insert(mask)
-
-    def contains(self, mask: int) -> bool:
-        return self._basis.contains(mask)
+    def __init__(self):
+        self._pivots: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
-        return self._basis.rank
+        return len(self._pivots)
+
+    def _reduce(self, row: int) -> int:
+        pivots = self._pivots
+        while row:
+            other = pivots.get(row.bit_length() - 1)
+            if other is None:
+                return row
+            row ^= other
+        return 0
+
+    def insert(self, mask: int) -> bool:
+        """Reduce the row against the basis and keep it when independent.
+
+        Returns True iff the row was inserted (it was not already in the
+        span). Inserting the zero row returns False.
+        """
+        row = self._reduce(mask)
+        if row == 0:
+            return False
+        self._pivots[row.bit_length() - 1] = row
+        return True
+
+    def contains(self, mask: int) -> bool:
+        """True iff the row is a GF(2) combination of the stored rows."""
+        return self._reduce(mask) == 0
+
+    def rows(self) -> list[int]:
+        """Stored rows, highest pivot first."""
+        return [self._pivots[p] for p in sorted(self._pivots, reverse=True)]
 
 
 class Var(NamedTuple):
@@ -196,10 +175,6 @@ class MonomialInterner:
         self._ids = _InternedIds()
 
     @property
-    def size(self) -> int:
-        return len(self._ids)
-
-    @property
     def ids(self) -> Mapping[tuple, int]:
         """Key -> id; indexing it with an unseen key interns that key."""
         return self._ids
@@ -209,23 +184,11 @@ class MonomialInterner:
         """The vertices each id's monomial mentions, indexed by id."""
         return self._ids.vertex_sets
 
-    def id_of(self, key: tuple) -> int:
-        return self._ids[key]
-
-    def lookup(self, key: tuple) -> int | None:
-        return self._ids.get(key)
-
     def keys_by_id(self) -> list[tuple]:
         out: list[tuple] = [()] * len(self._ids)
         for key, idx in self._ids.items():
             out[idx] = key
         return out
-
-    def mask_of(self, keys: Iterable[tuple]) -> int:
-        mask = 0
-        for key in keys:
-            mask |= 1 << self.id_of(key)
-        return mask
 
 
 def _constraint_key(mono: Monomial) -> tuple:
@@ -235,57 +198,40 @@ def _constraint_key(mono: Monomial) -> tuple:
 class GF2Basis:
     """Incremental GF(2) row basis over constraints.
 
-    Monomials are interned on first use; the backend basis is rebuilt with
-    doubled capacity when the universe outgrows it (amortized constant).
+    Monomials are interned on first use; the rows live in a ``MaskBasis``
+    over the interned bits.
     """
 
     def __init__(self, degree_bound: int | None = None):
         self.degree_bound = degree_bound
         self._interner = MonomialInterner()
-        self._capacity = 64
-        self._basis = make_xor_basis(self._capacity)
+        self._basis = MaskBasis()
 
     @property
     def rank(self) -> int:
         return self._basis.rank
-
-    @property
-    def num_monomials(self) -> int:
-        return self._interner.size
 
     def _mask(self, constraint: GF2Constraint, grow: bool) -> int | None:
         if self.degree_bound is not None and constraint.degree > self.degree_bound:
             raise ValueError(
                 f"constraint degree {constraint.degree} exceeds basis bound "
                 f"{self.degree_bound}")
+        ids = self._interner.ids
         mask = 0
         for mono in constraint.monomials:
             key = _constraint_key(mono)
             if grow:
-                idx = self._interner.id_of(key)
+                idx = ids[key]
             else:
-                found = self._interner.lookup(key)
-                if found is None:
+                idx = ids.get(key)
+                if idx is None:
                     return None
-                idx = found
             mask |= 1 << idx
         return mask
 
-    def _ensure_capacity(self) -> None:
-        if self._interner.size <= self._capacity:
-            return
-        while self._capacity < self._interner.size:
-            self._capacity *= 2
-        fresh = make_xor_basis(self._capacity)
-        for row in self._basis.rows():
-            fresh.insert(row)
-        self._basis = fresh
-
     def add(self, constraint: GF2Constraint) -> bool:
         """Insert a constraint; False iff it already lies in the span."""
-        mask = self._mask(constraint, grow=True)
-        self._ensure_capacity()
-        return self._basis.insert(mask)
+        return self._basis.insert(self._mask(constraint, grow=True))
 
     def contains(self, constraint: GF2Constraint) -> bool:
         """Span membership; never mutates the basis."""
@@ -319,11 +265,6 @@ def monomial_count_bound(n: int, d: int) -> int:
     if n < 0 or d < 0:
         raise ValueError("n and d must be non-negative")
     return n ** d + 1
-
-
-def add_to_basis(basis: GF2Basis, constraint: GF2Constraint) -> tuple[GF2Basis, bool]:
-    """Functional-style wrapper around ``GF2Basis.add``."""
-    return basis, basis.add(constraint)
 
 
 def in_span(target: GF2Constraint, generators: Sequence[GF2Constraint]) -> bool:

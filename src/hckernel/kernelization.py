@@ -80,7 +80,6 @@ class KernelStats:
     rows_considered: int = 0
     max_basis_rank: int = 0
     time_seconds: float = 0.0
-    backend: str = BACKEND
 
     def to_dict(self) -> dict:
         return {
@@ -96,7 +95,7 @@ class KernelStats:
             "rows_considered": self.rows_considered,
             "max_basis_rank": self.max_basis_rank,
             "time_seconds": self.time_seconds,
-            "gf2_backend": self.backend,
+            "gf2_backend": BACKEND,
         }
 
 
@@ -354,7 +353,7 @@ class _SpanEngine:
             self.rows_considered += sum(est for est, _a in sources)
             return False
 
-        basis = MaskBasis(self.interner.size)
+        basis = MaskBasis()
         pending = list(targets)
         for _est, a in sources:
             nbhd = reduced.get(a)
@@ -362,7 +361,6 @@ class _SpanEngine:
                 len(members[a]), tc.sorted_nbhd(a) if nbhd is None else nbhd)
             if not rows:
                 continue
-            basis.ensure_columns(self.interner.size)
             grew = False
             for mask in distinct:  # identical vectors inserted once
                 grew |= basis.insert(mask)

@@ -213,7 +213,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
                         min(cls), len(cls), nbhd_t))
     sources.sort(key=lambda s: (s[0], s[1]))
 
-    basis = MaskBasis(engine.interner.size)
+    basis = MaskBasis()
     pending = list(targets)
     in_span = False
     rank = 0
@@ -221,7 +221,6 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
         rows = engine.class_rows(size, nbhd_t)[0]
         if not rows:
             continue
-        basis.ensure_columns(engine.interner.size)
         grew = False
         for mask in sorted(set(rows)):
             grew |= basis.insert(mask)

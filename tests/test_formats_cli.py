@@ -190,7 +190,9 @@ class TestCli:
                          "--stats", str(stats)])
         assert code == 0
         payload = json.loads(stats.read_text())
+        # benchmark metadata and comparisons rely on this schema and name
         assert payload["version"] == 2
+        assert payload["gf2_backend"] == "pure"
         assert payload["span_tests"] == payload["span_refuted"] == 30
         assert payload["max_basis_rank"] == 0
 

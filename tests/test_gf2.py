@@ -1,17 +1,19 @@
-"""GF(2) constraints, bases, span membership, and both elimination backends."""
+"""GF(2) constraints, bases, span membership and mask elimination."""
 
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
+import hckernel
 from hckernel.gf2 import (
     GF2Basis,
     GF2Constraint,
+    MaskBasis,
     Monomial,
     Var,
-    add_to_basis,
-    available_backends,
     in_span,
     monomial_count_bound,
 )
@@ -77,8 +79,7 @@ class TestMonomialCountBound:
 class TestBasis:
     def test_accepts_independent(self):
         basis = GF2Basis()
-        _, accepted = add_to_basis(basis, constraint(X1))
-        assert accepted
+        assert basis.add(constraint(X1)) is True
         assert basis.rank == 1
 
     def test_rejects_sum_of_rows(self):
@@ -138,8 +139,8 @@ class TestBasis:
             basis.add(constraint(*rng.sample(universe, rng.randint(1, 6))))
         rows = basis.rows()
         assert len(rows) == basis.rank
-        # distinct leading monomials under the interning order is what the
-        # backends guarantee; verify rows are pairwise independent
+        # distinct leading monomials under the interning order is what
+        # MaskBasis guarantees; verify rows are pairwise independent
         for i, row in enumerate(rows):
             others = rows[:i] + rows[i + 1:]
             assert not in_span(row, others)
@@ -192,11 +193,21 @@ class TestInSpan:
                     assert target.evaluate_bool(values) == 0
 
 
-@pytest.mark.parametrize("name", sorted(available_backends()))
-class TestBackends:
-    def test_insert_contains_rank(self, name):
-        backend = available_backends()[name]
-        basis = backend.XorBasis(16)
+def span_of(rows):
+    """Every XOR of a subset of rows, the empty subset included."""
+    span = {0}
+    for row in rows:
+        span |= {x ^ row for x in span}
+    return span
+
+
+class TestMaskBasis:
+    def test_backend_name(self):
+        # stats JSON and benchmark metadata record this name
+        assert hckernel.GF2_BACKEND == "pure"
+
+    def test_insert_contains_rank(self):
+        basis = MaskBasis()
         assert basis.insert(0b1010)
         assert basis.insert(0b0110)
         assert not basis.insert(0b1100)  # xor of the first two
@@ -206,36 +217,50 @@ class TestBackends:
         assert basis.contains(0)
         assert basis.rank == 2
 
-    def test_multiword_rows(self, name):
-        backend = available_backends()[name]
-        basis = backend.XorBasis(200)
+    def test_multiword_rows(self):
+        basis = MaskBasis()
         r1 = (1 << 199) | (1 << 64) | 1
         r2 = (1 << 199) | (1 << 63)
         assert basis.insert(r1)
         assert basis.insert(r2)
         assert basis.contains(r1 ^ r2)
         assert not basis.contains(1 << 128)
-        # r2 reduces against r1 (shared leading bit), leaving r1 ^ r2
-        assert set(basis.rows()) == {r1, r1 ^ r2}
+        # r2 reduces against r1 (shared leading bit), leaving r1 ^ r2;
+        # rows come highest pivot first
+        assert basis.rows() == [r1, r1 ^ r2]
 
-    def test_agreement_randomized(self, name):
-        backend = available_backends()[name]
-        pure = available_backends()["pure"]
+    def test_accepts_rows_of_any_width(self):
+        basis = MaskBasis()
+        assert basis.insert(1 << 700)
+        assert basis.contains(1 << 700)
+        assert not basis.contains(1 << 699)
+
+    def test_matches_brute_force(self):
         rng = random.Random(8)
-        for _ in range(100):
+        for _ in range(200):
             ncols = rng.choice([7, 64, 65, 130])
-            rows = [rng.getrandbits(ncols) for _ in range(12)]
-            b1, b2 = backend.XorBasis(ncols), pure.XorBasis(ncols)
-            assert [b1.insert(r) for r in rows] == [b2.insert(r) for r in rows]
+            rows = []
+            for _ in range(rng.randint(0, 10)):
+                # a third of the rows are dependent by construction, so wide
+                # rows also exercise the reduction to zero
+                if rows and rng.random() < 1 / 3:
+                    rows.append(reduce(xor, rng.sample(rows, rng.randint(1, len(rows)))))
+                else:
+                    rows.append(rng.getrandbits(ncols))
+            basis = MaskBasis()
+            for i, row in enumerate(rows):
+                assert basis.insert(row) == (row not in span_of(rows[:i]))
+            span = span_of(rows)
+            assert len(span) == 2 ** basis.rank
+            # random probes, which mostly miss at 64+ columns, and subset
+            # XORs, which always hit
             probes = [rng.getrandbits(ncols) for _ in range(6)]
-            assert [b1.contains(p) for p in probes] == [b2.contains(p) for p in probes]
-            assert b1.rank == b2.rank
-
-    def test_rejects_oversized_rows(self, name):
-        backend = available_backends()[name]
-        basis = backend.XorBasis(8)
-        if name == "compiled":
-            with pytest.raises(ValueError):
-                basis.insert(1 << 700)
-        else:
-            assert basis.insert(1 << 700)
+            probes += [reduce(xor, rng.sample(rows, rng.randint(0, len(rows))), 0)
+                       for _ in range(3)]
+            for probe in probes:
+                assert basis.contains(probe) == (probe in span)
+            stored = basis.rows()
+            pivots = [row.bit_length() for row in stored]
+            assert len(stored) == basis.rank
+            assert pivots == sorted(set(pivots), reverse=True)
+            assert span_of(stored) == span

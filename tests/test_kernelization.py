@@ -327,45 +327,6 @@ class TestKernelize:
                 graph=cycle(4), max_degree=2, clique_number=2, is_bipartite=True))
 
 
-class TestBackendAgreement:
-    def test_kernels_identical_across_backends(self, tmp_path):
-        # the backend is fixed at import time, so compare via subprocesses
-        import subprocess
-        import sys
-
-        from hckernel.gf2 import available_backends
-
-        if len(available_backends()) < 2:
-            pytest.skip("compiled backend not built")
-        snippet = """
-import random, sys
-import hckernel
-from hckernel.formats import emit_graph, resolve_pattern
-from hckernel.graphs import Graph
-from hckernel.kernelization import kernelize
-
-rng = random.Random(314)
-patterns = [resolve_pattern(n) for n in ("K3", "K4")]
-out = []
-for _ in range(6):
-    n = rng.randint(5, 9)
-    g = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                             if rng.random() < 0.5])
-    for h in patterns:
-        res = kernelize(g, h)
-        out.append("TRIVIAL" if res.trivial_no else emit_graph(res.graph))
-sys.stdout.write("===".join(out))
-"""
-        results = {}
-        for name in ("pure", "compiled"):
-            import os
-            env = dict(os.environ, HCKERNEL_GF2_BACKEND=name)
-            proc = subprocess.run([sys.executable, "-c", snippet], env=env,
-                                  capture_output=True, text=True, check=True)
-            results[name] = proc.stdout
-        assert results["pure"] == results["compiled"]
-
-
 class TestKernelSizeBound:
     def test_reference_values(self):
         assert kernel_size_bound(0, K3) == 9
