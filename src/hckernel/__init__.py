@@ -19,21 +19,12 @@ from .composer import (
     list_to_plain,
 )
 from .constraints import (
-    ClassConstraint,
-    ConstraintSet,
-    PartialChoiceAssignment,
-    build_all_constraints,
     build_coloring_polynomial,
-    build_constraints_for_class,
     constraint_count_bound,
     evaluate,
 )
 from .gf2 import (
     BACKEND as GF2_BACKEND,
-    GF2Basis,
-    GF2Constraint,
-    Monomial,
-    Var,
     in_span,
     monomial_count_bound,
 )

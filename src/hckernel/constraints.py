@@ -23,54 +23,14 @@ pieces are memoized on the ``PatternGraph`` and built on first need, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping
 
-from .gf2 import GF2Constraint, Monomial, Var
-from .graphs import Graph, PatternGraph, TwinDecomposition
-
-
-@dataclass(frozen=True)
-class PartialChoiceAssignment:
-    """Partial map row -> chosen color; unmapped rows have all-zero indicators.
-
-    A dict can hold at most one color per row, so the at-most-one-choice
-    invariant is structural.
-    """
-
-    chosen: Mapping[int, int]
-
-    @staticmethod
-    def of(chosen: Mapping[int, int]) -> "PartialChoiceAssignment":
-        return PartialChoiceAssignment(dict(chosen))
-
-
-class ClassConstraint(NamedTuple):
-    """One generated row, tagged with its generating subset data."""
-
-    kind: str                 # "P" or "Q"
-    s: tuple[int, ...]        # neighborhood subset, sorted
-    x: tuple[int, ...]        # color subset (kind P) or color sequence (kind Q)
-    poly: GF2Constraint
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """All rows generated for one twin class."""
-
-    owner: frozenset[int]
-    constraints: tuple[ClassConstraint, ...]
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def polynomials(self) -> list[GF2Constraint]:
-        return [c.poly for c in self.constraints]
+from .graphs import PatternGraph
 
 
 def _selector_monomial_keys(rows: tuple[int, ...], cols: tuple[int, ...]) -> Iterator[tuple]:
-    """Monomial keys of the distinct-color selector polynomial.
+    """The monomial keys of the distinct-color selector polynomial.
 
     One monomial per ordered selection of len(rows)-1 distinct rows; the
     k-th selected row is paired with the k-th column. Keys are sorted
@@ -81,30 +41,31 @@ def _selector_monomial_keys(rows: tuple[int, ...], cols: tuple[int, ...]) -> Ite
         yield tuple(sorted((rows[i], cols[k]) for k, i in enumerate(sel)))
 
 
-def build_coloring_polynomial(q: int) -> GF2Constraint:
-    """Degree q-1 polynomial over variables y[i,k], i,k in 1..q.
+def build_coloring_polynomial(q: int) -> tuple[tuple, ...]:
+    """Degree q-1 polynomial over variables y[i,k], i,k in 1..q, as its
+    sorted monomial keys.
 
-    Under a partial choice assignment it evaluates to 1 mod 2 exactly when
-    no color is chosen by two distinct rows and every column 1..q-1 is
-    chosen by some row; q! monomials in total (one monomial, the constant,
-    for q = 1).
+    With each row choosing at most one color, it evaluates to 1 mod 2
+    exactly when no color is chosen by two distinct rows and every column
+    1..q-1 is chosen by some row; q! monomials in total (one monomial, the
+    constant, for q = 1).
     """
     if q < 1:
         raise ValueError("q must be at least 1")
     ids = tuple(range(1, q + 1))
-    monos = [Monomial.of(keys) for keys in _selector_monomial_keys(ids, ids)]
-    return GF2Constraint.of(monos, degree_bound=max(q - 1, 0))
+    return tuple(sorted(_selector_monomial_keys(ids, ids)))
 
 
-def evaluate(constraint: GF2Constraint, assignment: PartialChoiceAssignment | Mapping[int, int]) -> int:
-    """Constraint value mod 2 under a partial choice assignment.
+def evaluate(row: Iterable[tuple], chosen: Mapping[int, int]) -> int:
+    """Row value mod 2 when each vertex in ``chosen`` takes its color there
+    and every other vertex takes none.
 
-    The indicator Var(v, c) is 1 exactly when the assignment maps v to c.
+    The indicator of (v, c) is 1 exactly when chosen maps v to c; a mapping
+    holds at most one color per vertex.
     """
-    chosen = assignment.chosen if isinstance(assignment, PartialChoiceAssignment) else assignment
     total = 0
-    for mono in constraint.monomials:
-        if all(chosen.get(v.vertex) == v.color for v in mono.vars):
+    for key in row:
+        if all(chosen.get(v) == c for v, c in key):
             total ^= 1
     return total
 
@@ -163,9 +124,9 @@ def iter_class_constraint_keys(
 ) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]]:
     """Yield (kind, s, x, monomial_keys) rows for one twin class.
 
-    ``neighborhood`` must be sorted. This generator is the single source of
-    truth for row generation; the object layer and the kernelizer fast path
-    both consume it. Rows are relabelled per-pattern pieces (see
+    ``neighborhood`` must be sorted. This generator is the only source of
+    rows: a row is its tuple of monomial keys, which the kernelizer interns
+    into a bitmask. Rows are relabelled per-pattern pieces (see
     ``_selector_templates`` and ``color_sequences``); monomial keys are
     sorted tuples of (vertex, color) pairs, listed in increasing order.
     """
@@ -191,35 +152,7 @@ def iter_class_constraint_keys(
                 yield ("Q", s, x, (tuple(zip(s, x)),))
 
 
-def build_constraints_for_class(g: Graph, h: PatternGraph, p: Iterable[int]) -> ConstraintSet:
-    """Rows for one class of a (partial) twin decomposition of g."""
-    p = frozenset(p)
-    if not p:
-        raise ValueError("twin class must be non-empty")
-    nbhd = tuple(sorted(g.neighborhood_of_set(p)))
-    rows = []
-    for kind, s, x, keys in iter_class_constraint_keys(h, len(p), nbhd):
-        poly = GF2Constraint.of(
-            (Monomial.of(key) for key in keys), degree_bound=h.max_degree)
-        rows.append(ClassConstraint(kind, s, x, poly))
-    return ConstraintSet(p, tuple(rows))
-
-
-def build_all_constraints(g: Graph, h: PatternGraph, pi: TwinDecomposition) -> tuple[ConstraintSet, ...]:
-    """Union of the per-class rows over all classes, in class order."""
-    return tuple(build_constraints_for_class(g, h, p) for p in pi.classes)
-
-
 def constraint_count_bound(n: int, h: PatternGraph) -> int:
     """Coarse cap on the number of generated rows for an n-vertex host."""
     d = h.max_degree
     return 2 * n * n ** (d + 1) * h.num_colors ** (d + 1)
-
-
-def distinct_monomials(sets: Iterable[ConstraintSet]) -> set[Monomial]:
-    """All monomials appearing across the given constraint sets."""
-    out: set[Monomial] = set()
-    for cs in sets:
-        for row in cs.constraints:
-            out |= row.poly.monomials
-    return out

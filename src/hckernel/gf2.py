@@ -1,19 +1,19 @@
-"""Multilinear GF(2) polynomials over color-indicator variables.
+"""GF(2) elimination over monomial keys.
 
-A variable ``Var(vertex, color)`` is the 0/1 indicator "this vertex gets
-this color". A constraint is stored sparsely as the set of its
-coefficient-1 monomials, which makes the GF(2) coefficient vector
-canonical without ever materializing the dense monomial universe.
+A constraint row is a multilinear polynomial over GF(2) in the 0/1
+indicator variables "vertex v gets color c". It is stored sparsely as the
+tuple of its coefficient-1 monomials, each a monomial key: a sorted,
+duplicate-free tuple of (vertex, color) pairs, the empty key being the
+constant 1. This keeps the coefficient vector canonical without ever
+materializing the dense monomial universe.
 
-Elimination works on int bitmasks: ``MonomialInterner`` gives each
-monomial a bit and ``MaskBasis`` reduces rows by pivot. ``GF2Basis`` is
-the same basis seen through constraints.
+Elimination works on int bitmasks: ``MonomialInterner`` gives each key a
+bit and ``MaskBasis`` reduces rows by pivot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # name of the elimination implementation, written to the stats JSON
 BACKEND = "pure"
@@ -67,80 +67,6 @@ class MaskBasis:
         return [self._pivots[p] for p in sorted(self._pivots, reverse=True)]
 
 
-class Var(NamedTuple):
-    """Indicator variable: ``vertex`` receives ``color``."""
-
-    vertex: int
-    color: int
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Multilinear monomial: a sorted tuple of distinct variables.
-
-    The empty tuple is the constant-1 monomial. Repeated variables collapse
-    on construction, since x*x = x for 0/1 values.
-    """
-
-    vars: tuple[Var, ...]
-
-    @staticmethod
-    def of(items: Iterable[tuple[int, int]]) -> "Monomial":
-        return Monomial(tuple(sorted({Var(*it) for it in items})))
-
-    @property
-    def degree(self) -> int:
-        return len(self.vars)
-
-    def sort_key(self) -> tuple:
-        # graded order: degree first, then the sorted variable tuple
-        return (len(self.vars), self.vars)
-
-
-ONE = Monomial(())
-
-
-@dataclass(frozen=True)
-class GF2Constraint:
-    """A polynomial over GF(2), as the set of monomials with coefficient 1.
-
-    The set representation is the canonical coefficient vector; two
-    constraints are the same polynomial iff their monomial sets are equal.
-    """
-
-    monomials: frozenset[Monomial]
-    degree_bound: int
-
-    def __post_init__(self):
-        for mono in self.monomials:
-            if mono.degree > self.degree_bound:
-                raise ValueError(
-                    f"monomial degree {mono.degree} exceeds bound {self.degree_bound}")
-
-    @staticmethod
-    def of(monomials: Iterable[Monomial], degree_bound: int | None = None) -> "GF2Constraint":
-        monos = frozenset(monomials)
-        if degree_bound is None:
-            degree_bound = max((m.degree for m in monos), default=0)
-        return GF2Constraint(monos, degree_bound)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-    @property
-    def degree(self) -> int:
-        return max((m.degree for m in self.monomials), default=0)
-
-    def evaluate_bool(self, values: Mapping[Var, int]) -> int:
-        """Value mod 2 under a plain 0/1 assignment to the variables."""
-        total = 0
-        for mono in self.monomials:
-            if all(values.get(v, 0) for v in mono.vars):
-                total ^= 1
-        return total
-
-
 class _InternedIds(dict):
     """Key -> id map that interns a key the first time it is indexed.
 
@@ -191,72 +117,6 @@ class MonomialInterner:
         return out
 
 
-def _constraint_key(mono: Monomial) -> tuple:
-    return tuple((v.vertex, v.color) for v in mono.vars)
-
-
-class GF2Basis:
-    """Incremental GF(2) row basis over constraints.
-
-    Monomials are interned on first use; the rows live in a ``MaskBasis``
-    over the interned bits.
-    """
-
-    def __init__(self, degree_bound: int | None = None):
-        self.degree_bound = degree_bound
-        self._interner = MonomialInterner()
-        self._basis = MaskBasis()
-
-    @property
-    def rank(self) -> int:
-        return self._basis.rank
-
-    def _mask(self, constraint: GF2Constraint, grow: bool) -> int | None:
-        if self.degree_bound is not None and constraint.degree > self.degree_bound:
-            raise ValueError(
-                f"constraint degree {constraint.degree} exceeds basis bound "
-                f"{self.degree_bound}")
-        ids = self._interner.ids
-        mask = 0
-        for mono in constraint.monomials:
-            key = _constraint_key(mono)
-            if grow:
-                idx = ids[key]
-            else:
-                idx = ids.get(key)
-                if idx is None:
-                    return None
-            mask |= 1 << idx
-        return mask
-
-    def add(self, constraint: GF2Constraint) -> bool:
-        """Insert a constraint; False iff it already lies in the span."""
-        return self._basis.insert(self._mask(constraint, grow=True))
-
-    def contains(self, constraint: GF2Constraint) -> bool:
-        """Span membership; never mutates the basis."""
-        mask = self._mask(constraint, grow=False)
-        if mask is None:
-            # an unseen monomial cannot be produced by any combination
-            return False
-        return self._basis.contains(mask)
-
-    def rows(self) -> list[GF2Constraint]:
-        """Reduced rows decoded back to constraints, highest pivot first."""
-        keys = self._interner.keys_by_id()
-        out = []
-        for row in self._basis.rows():
-            monos = []
-            idx = 0
-            while row:
-                if row & 1:
-                    monos.append(Monomial(tuple(Var(*p) for p in keys[idx])))
-                row >>= 1
-                idx += 1
-            out.append(GF2Constraint.of(monos, self.degree_bound))
-        return out
-
-
 def monomial_count_bound(n: int, d: int) -> int:
     """Upper bound n**d + 1 on multilinear monomials of degree <= d.
 
@@ -267,11 +127,26 @@ def monomial_count_bound(n: int, d: int) -> int:
     return n ** d + 1
 
 
-def in_span(target: GF2Constraint, generators: Sequence[GF2Constraint]) -> bool:
-    """True iff target's coefficient vector is a mod-2 sum of the generators'."""
-    if target.is_zero:
-        return True
-    basis = GF2Basis()
-    for gen in generators:
-        basis.add(gen)
-    return basis.contains(target)
+def in_span(target: Iterable[tuple], generators: Iterable[Iterable[tuple]]) -> bool:
+    """True iff target is a mod-2 sum of the generators.
+
+    Rows are iterables of monomial keys, each read as the set of its keys.
+    Every call interns the rows into a fresh ``MonomialInterner`` and builds
+    a fresh ``MaskBasis`` from all generators, so a caller checking many
+    targets against the same generators should build the basis once itself.
+    """
+    ids = MonomialInterner().ids
+    basis = MaskBasis()
+    for row in generators:
+        mask = 0
+        for key in row:
+            mask |= 1 << ids[key]
+        basis.insert(mask)
+    mask = 0
+    for key in target:
+        idx = ids.get(key)
+        if idx is None:
+            # an unseen monomial cannot be produced by any combination
+            return False
+        mask |= 1 << idx
+    return basis.contains(mask)

@@ -9,16 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hckernel.constraints import (
-    PartialChoiceAssignment,
-    build_all_constraints,
     build_coloring_polynomial,
-    build_constraints_for_class,
     constraint_count_bound,
     evaluate,
     iter_class_constraint_keys,
 )
 from hckernel.formats import resolve_pattern
-from hckernel.gf2 import Monomial, Var
 from hckernel.graphs import Graph, pattern_analyze, twin_decomposition
 from hckernel.kernelization import _SpanEngine, kernelize
 
@@ -38,6 +34,16 @@ K4 = pattern_analyze(clique(4))
 C5 = pattern_analyze(cycle(5))
 
 
+def mono(*pairs):
+    return tuple(sorted(pairs))
+
+
+def class_rows(g, h, cls):
+    """The (kind, s, x, keys) rows of one twin class of g."""
+    nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
+    return list(iter_class_constraint_keys(h, len(cls), nbhd))
+
+
 def all_partial_choice_assignments(rows, colors):
     """Every map that gives each row at most one color."""
     options = [(None, *colors)] * len(rows)
@@ -49,31 +55,31 @@ class TestColoringPolynomial:
     def test_q3_monomials_match_expected_display(self):
         p = build_coloring_polynomial(3)
         expected = {
-            Monomial.of([(1, 1), (2, 2)]),
-            Monomial.of([(1, 1), (3, 2)]),
-            Monomial.of([(2, 1), (1, 2)]),
-            Monomial.of([(2, 1), (3, 2)]),
-            Monomial.of([(3, 1), (1, 2)]),
-            Monomial.of([(3, 1), (2, 2)]),
+            mono((1, 1), (2, 2)),
+            mono((1, 1), (3, 2)),
+            mono((2, 1), (1, 2)),
+            mono((2, 1), (3, 2)),
+            mono((3, 1), (1, 2)),
+            mono((3, 1), (2, 2)),
         }
-        assert p.monomials == frozenset(expected)
-        assert p.degree == 2
+        assert p == tuple(sorted(expected))
+        assert max(map(len, p)) == 2
 
     def test_q1_constant(self):
         p = build_coloring_polynomial(1)
-        assert p.monomials == frozenset({Monomial(())})
+        assert p == ((),)
         assert evaluate(p, {}) == 1
 
     def test_q2_two_linear_monomials(self):
         # ordered selections of 1 distinct row out of 2, paired with column 1
         p = build_coloring_polynomial(2)
-        assert p.monomials == frozenset({Monomial.of([(1, 1)]), Monomial.of([(2, 1)])})
-        assert p.degree == 1
+        assert p == (mono((1, 1)), mono((2, 1)))
+        assert max(map(len, p)) == 1
 
     def test_monomial_count_is_q_factorial(self):
         for q in range(1, 6):
             import math
-            assert len(build_coloring_polynomial(q).monomials) == math.factorial(q)
+            assert len(build_coloring_polynomial(q)) == math.factorial(q)
 
     def test_rejects_q0(self):
         with pytest.raises(ValueError):
@@ -96,79 +102,77 @@ class TestColoringPolynomial:
             covers = all(
                 any(chosen.get(r) == k for r in rows) for k in range(1, q))
             want = 1 if (no_repeat and covers) else 0
-            assert evaluate(p, PartialChoiceAssignment.of(chosen)) == want
+            assert evaluate(p, chosen) == want
 
 
 class TestClassConstraints:
     def test_isolated_class_has_no_constraints(self):
         g = Graph.from_edges(2, [(0, 1)])
-        cs = build_constraints_for_class(g, K3, {0, 1})
-        assert len(cs) == 0
+        assert class_rows(g, K3, {0, 1}) == []
 
     def test_single_neighbor_no_type_q_for_singleton(self):
         # common neighborhood of any single color in a triangle is an edge,
         # whose clique number 2 is not below a class size of 1
         g = Graph.from_edges(2, [(0, 1)])
-        cs = build_constraints_for_class(g, K3, {0})
-        assert [c for c in cs.constraints if c.kind == "Q"] == []
+        rows = class_rows(g, K3, {0})
+        assert [row for row in rows if row[0] == "Q"] == []
 
     def test_type_q_added_for_large_class(self):
         # a size-3 class forces every single-colored neighbour constraint:
         # no color's neighborhood contains a triangle
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        cs = build_constraints_for_class(g, K3, {1, 2, 3})
-        q_rows = [c for c in cs.constraints if c.kind == "Q" and len(c.s) == 1]
-        assert {(c.s, c.x) for c in q_rows} == {((0,), (c,)) for c in K3.color_ids}
-        for c in q_rows:
-            assert c.poly.monomials == frozenset({Monomial.of([(0, c.x[0])])})
+        q_rows = [(s, x, keys) for kind, s, x, keys in class_rows(g, K3, {1, 2, 3})
+                  if kind == "Q" and len(s) == 1]
+        assert {(s, x) for s, x, _keys in q_rows} == {((0,), (c,)) for c in K3.color_ids}
+        for _s, x, keys in q_rows:
+            assert keys == (mono((0, x[0])),)
 
     def test_star_center_single_type_p(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         pi = twin_decomposition(g)
-        sets = build_all_constraints(g, K3, pi)
-        by_owner = {cs.owner: cs for cs in sets}
+        by_owner = {cls: class_rows(g, K3, cls) for cls in pi.classes}
         center = by_owner[frozenset({0})]
-        assert len(center) == 1 and center.constraints[0].kind == "P"
+        assert len(center) == 1 and center[0][0] == "P"
         for leaf in ({1}, {2}, {3}):
             assert len(by_owner[frozenset(leaf)]) == 0
 
     def test_edgeless_graph_empty(self):
         g = Graph.from_edges(4, [])
-        assert all(len(cs) == 0
-                   for cs in build_all_constraints(g, K3, twin_decomposition(g)))
+        assert all(len(class_rows(g, K3, cls)) == 0
+                   for cls in twin_decomposition(g).classes)
 
     def test_single_edge_twins_no_constraints(self):
         g = Graph.from_edges(2, [(0, 1)])
-        sets = build_all_constraints(g, K3, twin_decomposition(g))
-        assert len(sets) == 1 and len(sets[0]) == 0
+        classes = twin_decomposition(g).classes
+        assert len(classes) == 1 and len(class_rows(g, K3, classes[0])) == 0
 
     def test_degree_bound(self):
         rng = random.Random(21)
         for h in (K3, K4, C5):
             for _ in range(15):
                 g = random_graph(rng.randint(2, 7), 0.5, rng)
-                for cs in build_all_constraints(g, h, twin_decomposition(g)):
-                    for row in cs.constraints:
-                        assert row.poly.degree <= h.max_degree
+                for cls in twin_decomposition(g).classes:
+                    for _kind, _s, _x, keys in class_rows(g, h, cls):
+                        assert all(len(key) <= h.max_degree for key in keys)
 
     def test_constraints_only_mention_open_neighborhood(self):
         rng = random.Random(22)
         for _ in range(15):
             g = random_graph(rng.randint(3, 7), 0.5, rng)
             pi = twin_decomposition(g)
-            for cls, cs in zip(pi.classes, build_all_constraints(g, K3, pi)):
+            for cls in pi.classes:
                 nbhd = g.neighborhood_of_set(cls)
-                for row in cs.constraints:
-                    for mono in row.poly.monomials:
-                        assert {v.vertex for v in mono.vars} <= nbhd
+                for _kind, _s, _x, keys in class_rows(g, K3, cls):
+                    for key in keys:
+                        assert {v for v, _c in key} <= nbhd
 
     def test_count_bound(self):
         rng = random.Random(23)
         for h in (K3, K4):
             for _ in range(10):
                 g = random_graph(rng.randint(2, 7), 0.6, rng)
-                total = sum(len(cs) for cs in
-                            build_all_constraints(g, h, twin_decomposition(g)))
+                total = sum(len(class_rows(g, h, cls))
+                            for cls in twin_decomposition(g).classes)
                 assert total <= constraint_count_bound(g.n, h)
 
 
@@ -184,13 +188,12 @@ class TestColoringsSatisfyConstraints:
                   for _ in range(6)]
         graphs.append(Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]))
         for g in graphs:
-            pi = twin_decomposition(g)
-            sets = build_all_constraints(g, h, pi)
+            rows = [keys for cls in twin_decomposition(g).classes
+                    for _kind, _s, _x, keys in class_rows(g, h, cls)]
             for coloring in itertools.islice(enumerate_h_colorings(g, h.graph), 200):
                 assign = indicator_of(coloring)
-                for cs in sets:
-                    for row in cs.constraints:
-                        assert evaluate(row.poly, assign) == 0
+                for keys in rows:
+                    assert evaluate(keys, assign) == 0
 
     def test_satisfying_partial_colorings_extend(self):
         # any proper coloring of the rest that satisfies one class's rows
@@ -210,12 +213,12 @@ class TestColoringsSatisfyConstraints:
                 g = random_graph(rng.randint(2, 6), rng.choice([0.4, 0.7]), rng)
                 pi = twin_decomposition(g)
                 for cls in pi.classes:
-                    rows = build_constraints_for_class(g, h, cls)
+                    rows = [keys for _kind, _s, _x, keys in class_rows(g, h, cls)]
                     rest = g.without_vertices(cls)
                     for coloring in itertools.islice(
                             enumerate_h_colorings(rest, h.graph), 120):
                         assign = indicator_of(coloring)
-                        if any(evaluate(r.poly, assign) != 0 for r in rows.constraints):
+                        if any(evaluate(keys, assign) != 0 for keys in rows):
                             continue
                         assert extends(g, h, cls, coloring), \
                             (list(g.edges()), sorted(cls), coloring)

@@ -1,30 +1,25 @@
-"""GF(2) constraints, bases, span membership and mask elimination."""
+"""GF(2) span membership and mask elimination over monomial-key rows."""
 
 import itertools
 import random
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 
 import pytest
 
 import hckernel
-from hckernel.gf2 import (
-    GF2Basis,
-    GF2Constraint,
-    MaskBasis,
-    Monomial,
-    Var,
-    in_span,
-    monomial_count_bound,
-)
+from hckernel.constraints import evaluate
+from hckernel.gf2 import MaskBasis, MonomialInterner, in_span, monomial_count_bound
 
 
 def mono(*pairs):
-    return Monomial.of(pairs)
+    """A monomial key: the sorted, duplicate-free (vertex, color) pairs."""
+    return tuple(sorted(set(pairs)))
 
 
-def constraint(*monomials, bound=None):
-    return GF2Constraint.of(monomials, degree_bound=bound)
+def constraint(*monomials):
+    """A row: the tuple of its monomial keys."""
+    return monomials
 
 
 X1 = mono((1, 1))
@@ -32,32 +27,14 @@ X2 = mono((2, 1))
 X12 = mono((1, 1), (2, 1))
 
 
-class TestMonomial:
-    def test_sorted_and_deduped(self):
-        m = Monomial.of([(2, 1), (1, 3), (2, 1)])
-        assert m.vars == (Var(1, 3), Var(2, 1))
-        assert m.degree == 2
-
-    def test_square_collapses(self):
-        # x*x = x over 0/1 values, so repeated pairs merge
-        assert mono((1, 1), (1, 1)) == mono((1, 1))
-
-    def test_constant(self):
-        assert Monomial(()).degree == 0
+def mask(ids, row):
+    """Bitmask of a row; indexing ``ids`` interns an unseen key."""
+    return reduce(or_, (1 << ids[key] for key in row), 0)
 
 
-class TestConstraint:
-    def test_degree_bound_enforced(self):
-        with pytest.raises(ValueError, match="exceeds bound"):
-            GF2Constraint(frozenset({X12}), 1)
-
-    def test_canonical_equality(self):
-        assert constraint(X1, X2) == constraint(X2, X1)
-
-    def test_evaluate_bool(self):
-        c = constraint(X12, X1)
-        assert c.evaluate_bool({Var(1, 1): 1, Var(2, 1): 1}) == 0  # 1 + 1
-        assert c.evaluate_bool({Var(1, 1): 1}) == 1
+def decode(keys_by_id, row_mask):
+    """The monomial keys of a bitmask row."""
+    return tuple(keys_by_id[i] for i in range(row_mask.bit_length()) if row_mask >> i & 1)
 
 
 class TestMonomialCountBound:
@@ -77,17 +54,21 @@ class TestMonomialCountBound:
 
 
 class TestBasis:
+    """Key rows interned into one ``MonomialInterner`` and reduced by one
+    ``MaskBasis``: the pair a caller holds to test many rows against the
+    same generators."""
+
     def test_accepts_independent(self):
-        basis = GF2Basis()
-        assert basis.add(constraint(X1)) is True
+        ids, basis = MonomialInterner().ids, MaskBasis()
+        assert basis.insert(mask(ids, constraint(X1))) is True
         assert basis.rank == 1
 
     def test_rejects_sum_of_rows(self):
-        basis = GF2Basis()
-        basis.add(constraint(X1))
-        basis.add(constraint(X2))
+        ids, basis = MonomialInterner().ids, MaskBasis()
+        basis.insert(mask(ids, constraint(X1)))
+        basis.insert(mask(ids, constraint(X2)))
         # monomial-set symmetric difference of the two rows
-        assert basis.add(constraint(X1, X2)) is False
+        assert basis.insert(mask(ids, constraint(X1, X2))) is False
         assert basis.rank == 2
 
     def test_product_monomial_independent(self):
@@ -102,45 +83,48 @@ class TestBasis:
                 monos ^= {X2}
             combos.add(frozenset(monos))
         assert frozenset({X12}) not in combos
-        basis = GF2Basis()
-        basis.add(constraint(X1))
-        basis.add(constraint(X2))
-        assert basis.add(constraint(X12)) is True
+        ids, basis = MonomialInterner().ids, MaskBasis()
+        basis.insert(mask(ids, constraint(X1)))
+        basis.insert(mask(ids, constraint(X2)))
+        assert basis.insert(mask(ids, constraint(X12))) is True
 
     def test_reinsert_rejected(self):
         rng = random.Random(3)
-        basis = GF2Basis()
+        ids, basis = MonomialInterner().ids, MaskBasis()
         accepted = []
         universe = [mono((v, c)) for v in range(3) for c in range(2)]
         for _ in range(20):
             c = constraint(*rng.sample(universe, rng.randint(1, 4)))
-            if basis.add(c):
+            if basis.insert(mask(ids, c)):
                 accepted.append(c)
         for c in accepted:
-            assert basis.add(c) is False
+            assert basis.insert(mask(ids, c)) is False
 
-    def test_rank_bounded_by_distinct_monomials(self):
+    def test_rank_bounded_by_key_count(self):
         rng = random.Random(4)
         universe = [mono((v, c)) for v in range(4) for c in range(2)]
-        basis = GF2Basis()
+        interner, basis = MonomialInterner(), MaskBasis()
         seen = set()
         for _ in range(60):
             monos = rng.sample(universe, rng.randint(1, 5))
             seen.update(monos)
-            basis.add(constraint(*monos))
+            basis.insert(mask(interner.ids, constraint(*monos)))
+            assert len(interner.ids) == len(seen)
             assert basis.rank <= len(seen)
             assert basis.rank <= monomial_count_bound(8, 1)
 
     def test_rows_are_echelon(self):
         rng = random.Random(5)
         universe = [mono((v, c)) for v in range(4) for c in range(3)]
-        basis = GF2Basis()
+        interner, basis = MonomialInterner(), MaskBasis()
         for _ in range(40):
-            basis.add(constraint(*rng.sample(universe, rng.randint(1, 6))))
-        rows = basis.rows()
+            basis.insert(mask(interner.ids, constraint(*rng.sample(universe, rng.randint(1, 6)))))
+        keys = interner.keys_by_id()
+        rows = [decode(keys, row) for row in basis.rows()]
         assert len(rows) == basis.rank
         # distinct leading monomials under the interning order is what
-        # MaskBasis guarantees; verify rows are pairwise independent
+        # MaskBasis guarantees; verify the decoded rows are pairwise
+        # independent
         for i, row in enumerate(rows):
             others = rows[:i] + rows[i + 1:]
             assert not in_span(row, others)
@@ -169,8 +153,8 @@ class TestInSpan:
                 acc = frozenset()
                 for take, gen in zip(picks, gens):
                     if take:
-                        acc ^= gen.monomials
-                if acc == target.monomials:
+                        acc ^= frozenset(gen)
+                if acc == frozenset(target):
                     brute = True
                     break
             assert in_span(target, gens) == brute
@@ -180,7 +164,7 @@ class TestInSpan:
         # mod 2 under an assignment, the target vanishes too
         rng = random.Random(7)
         universe = [mono((v, 0)) for v in range(5)]
-        variables = [Var(v, 0) for v in range(5)]
+        variables = range(5)
         for _ in range(200):
             gens = [constraint(*rng.sample(universe, rng.randint(1, 3)))
                     for _ in range(rng.randint(1, 6))]
@@ -189,8 +173,10 @@ class TestInSpan:
                 continue
             for _ in range(10):
                 values = {v: rng.randint(0, 1) for v in variables}
-                if all(gen.evaluate_bool(values) == 0 for gen in gens):
-                    assert target.evaluate_bool(values) == 0
+                # every variable has color 0: indicator 1 iff v is chosen
+                chosen = {v: 0 for v, bit in values.items() if bit}
+                if all(evaluate(gen, chosen) == 0 for gen in gens):
+                    assert evaluate(target, chosen) == 0
 
 
 def span_of(rows):

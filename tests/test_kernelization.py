@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hckernel.constraints import build_constraints_for_class
+from hckernel.constraints import iter_class_constraint_keys
 from hckernel.formats import parse_graph
-from hckernel.gf2 import GF2Basis, in_span
+from hckernel.gf2 import MaskBasis, MonomialInterner, in_span
 from hckernel.graphs import (
     Graph,
     is_twin_cover,
@@ -128,32 +128,35 @@ def small_graphs(draw, max_n=12):
     return random_graph(n, density, draw(st.randoms(use_true_random=False)))
 
 
-def object_rows(g, h, cls):
-    return [row.poly for row in build_constraints_for_class(g, h, cls).constraints]
+def class_key_rows(g, h, cls):
+    nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
+    return [keys for _kind, _s, _x, keys in iter_class_constraint_keys(h, len(cls), nbhd)]
 
 
-def object_layer_rows(g, h, pi, p1, p2, rows=None):
-    """Rule 2's (targets, generators) as constraint objects: the rows of p1,
+def oracle_rows(g, h, pi, p1, p2, rows=None):
+    """Rule 2's (targets, generators) as monomial-key rows: the rows of p1,
     and the rows of all of pi's classes in the graph without E(p1, p2).
     ``rows`` may hold each class's rows in g; only p1 and p2 have other
     rows once the edges are gone."""
     if rows is None:
-        rows = {cls: object_rows(g, h, cls) for cls in pi.classes}
+        rows = {cls: class_key_rows(g, h, cls) for cls in pi.classes}
     reduced = g.without_edges(g.edges_between(p1, p2))
-    gens = [poly for cls in pi.classes
-            for poly in (object_rows(reduced, h, cls) if cls in (p1, p2) else rows[cls])]
+    gens = [keys for cls in pi.classes
+            for keys in (class_key_rows(reduced, h, cls) if cls in (p1, p2) else rows[cls])]
     return rows[p1], gens
 
 
-def object_layer_rule2(g, h, pi, p1, p2, rows=None) -> bool:
+def oracle_rule2(g, h, pi, p1, p2, rows=None) -> bool:
     """Every target in the span of the generators. This is ``in_span`` per
-    target with the basis built once: a basis per target is too slow for
-    the property test."""
-    targets, gens = object_layer_rows(g, h, pi, p1, p2, rows)
-    basis = GF2Basis()
-    for poly in gens:
-        basis.add(poly)
-    return all(basis.contains(poly) for poly in targets)
+    target with the interner and basis built once per pair: a basis per
+    target is too slow for the property test."""
+    targets, gens = oracle_rows(g, h, pi, p1, p2, rows)
+    ids = MonomialInterner().ids
+    basis = MaskBasis()
+    for keys in gens:
+        basis.insert(sum(1 << ids[key] for key in keys))
+    # a target key no generator has makes its mask miss the basis
+    return all(basis.contains(sum(1 << ids[key] for key in keys)) for keys in targets)
 
 
 def span_engine_test(g, h, p1, p2):
@@ -165,20 +168,21 @@ def span_engine_test(g, h, p1, p2):
 
 
 class TestSpanOracle:
-    """The mask engine's rule 2 answer against the object layer, which
-    shares neither its masks nor its interner."""
+    """The mask engine's rule 2 answer against rows taken straight from the
+    generator and eliminated on their own interner and basis, which share
+    neither the engine's masks nor its interner."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(small_graphs(max_n=9), st.sampled_from(sorted(PATTERNS)))
     def test_every_adjacent_pair(self, g, name):
         h = PATTERNS[name]
         pi = twin_decomposition(g)
-        rows = {cls: object_rows(g, h, cls) for cls in pi.classes}
+        rows = {cls: class_key_rows(g, h, cls) for cls in pi.classes}
         for p1 in pi.classes:
             for p2 in pi.classes:
                 if p1 != p2 and g.edges_between(p1, p2):
                     assert (rule2_try_remove_edges(g, h, pi, p1, p2) is not None) == \
-                        object_layer_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
+                        oracle_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
 
     def test_refuted_from_neighborhoods(self):
         # star: the row of the centre has the monomial on leaves {0, 1},
@@ -193,7 +197,7 @@ class TestSpanOracle:
         assert list(engine._rows) == [(1, (0, 1, 2))]
         assert engine.max_basis_rank == 0
         assert engine.rows_considered == 0   # every source has an empty family
-        targets, gens = object_layer_rows(g, K3, pi, p1, p2)
+        targets, gens = oracle_rows(g, K3, pi, p1, p2)
         assert not all(in_span(t, gens) for t in targets)
 
     def test_fails_only_through_elimination(self):
@@ -207,7 +211,7 @@ class TestSpanOracle:
         assert (engine.span_tests, engine.span_refuted) == (1, 0)
         # the sources were built, since the test was not refuted
         assert len(engine._rows) == 4
-        targets, gens = object_layer_rows(g, K3, pi, p1, p2)
+        targets, gens = oracle_rows(g, K3, pi, p1, p2)
         assert not all(in_span(t, gens) for t in targets)
 
     def test_refutation_counts_like_full_test(self):
