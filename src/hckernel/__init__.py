@@ -50,7 +50,6 @@ from .kernelization import (
     rule3_remove_isolated_clique,
 )
 from .oracle import (
-    Homomorphism,
     find_2_3_coloring,
     find_3_coloring,
     find_h_coloring,

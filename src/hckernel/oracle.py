@@ -1,5 +1,8 @@
-"""Brute-force ground truth: homomorphism search and list-coloring solvers.
+"""Brute-force ground truth: one exact list-H-coloring search.
 
+Every entry point poses a list H-coloring instance to the same search:
+homomorphism existence gives each host vertex all of V(H), and the
+3-coloring variants are list K3-coloring with lists inside {1, 2, 3}.
 These are desk-scale exact solvers guarded by configurable vertex limits;
 they exist to validate the kernelization and the instance composition,
 never to compete with real coloring solvers. Guards can be overridden via
@@ -10,8 +13,6 @@ the HCKERNEL_SOLVE_GUARD environment variable (an integer) or by passing
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass
 from typing import Mapping
 
 from .graphs import CapacityError, Graph, PatternGraph
@@ -21,116 +22,76 @@ _UNSET = object()
 H_COLORING_GUARD = 20
 LIST_COLORING_GUARD = 24
 
-
-def _resolve_guard(guard, default: int) -> int | None:
-    if guard is not _UNSET:
-        return guard
-    env = os.environ.get("HCKERNEL_SOLVE_GUARD")
-    if env:
-        return int(env)
-    return default
+# bad[c] for the palette K3 on {1, 2, 3}: a neighbour of a c-colored
+# vertex loses only c
+_K3_BAD = {c: (c,) for c in (1, 2, 3)}
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """Total map from host vertices to target colors, edge-preserving."""
+def _check_guard(guard, default: int, n: int, what: str) -> None:
+    """Raise CapacityError when n exceeds the resolved guard.
 
-    mapping: dict[int, int]
-
-    def __getitem__(self, v: int) -> int:
-        return self.mapping[v]
-
-
-def find_h_coloring(g: Graph, h: PatternGraph, guard=_UNSET) -> Homomorphism | None:
-    """Search for an edge-preserving map from g into the target.
-
-    Backtracking over vertices in decreasing-degree order, colors tried in
-    id order, so the returned witness is deterministic. Returns None when
-    no homomorphism exists.
+    An explicit ``guard`` wins (None: no limit), then the
+    HCKERNEL_SOLVE_GUARD environment variable, then ``default``.
     """
-    limit = _resolve_guard(guard, H_COLORING_GUARD)
-    if limit is not None and g.n > limit:
-        raise CapacityError(f"h-coloring guard exceeded: {g.n} > {limit} vertices")
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [sorted(u for u in g.adj[v] if pos[u] < pos[v]) for v in order]
-    colors = h.color_ids
-    hadj = h.graph.adj
-    assign: dict[int, int] = {}
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        allowed: frozenset[int] | None = None
-        for u in earlier[i]:
-            nb = hadj[assign[u]]
-            allowed = nb if allowed is None else allowed & nb
-            if not allowed:
-                return False
-        for c in colors if allowed is None else sorted(allowed):
-            assign[v] = c
-            if extend(i + 1):
-                return True
-        assign.pop(v, None)
-        return False
-
-    if extend(0):
-        return Homomorphism(dict(assign))
-    return None
+    if guard is _UNSET:
+        env = os.environ.get("HCKERNEL_SOLVE_GUARD")
+        guard = int(env) if env else default
+    if guard is not None and n > guard:
+        raise CapacityError(f"{what} guard exceeded: {n} > {guard} vertices")
 
 
-def verify_h_coloring(g: Graph, h: PatternGraph, f: Homomorphism | Mapping[int, int]) -> bool:
-    """Edge-by-edge check that f maps g into the target."""
-    mapping = f.mapping if isinstance(f, Homomorphism) else f
-    missing = [v for v in g.vertices if v not in mapping]
-    if missing:
-        raise ValueError(f"map is not total; unassigned vertices: {missing[:5]}")
-    hadj = h.graph.adj
-    for u, v in g.edges():
-        if mapping[v] not in hadj[mapping[u]]:
-            return False
-    return True
+def _search(adj, vertices, domains: dict[int, set[int]],
+            bad: Mapping[int, tuple[int, ...]]) -> dict[int, int] | None:
+    """Complete list-H-coloring search with forward checking.
 
-
-def _solve_lists(g: Graph, domains: dict[int, set[int]]) -> dict[int, int] | None:
-    """Complete backtracking search with forward checking.
+    ``domains[v]`` is the set of H-vertices v may take; the search narrows
+    these sets in place, so pass fresh ones. ``bad[c]`` lists the H-vertices
+    not adjacent to c in H, which a neighbour of a c-colored vertex may not
+    take. H has no loops, so ``c in bad[c]``.
 
     Singleton lists are propagated before any branching; variables are
-    chosen by minimum remaining values (degree tie-break). Whenever the
-    residual graph on unassigned vertices falls apart, the connected
-    components are solved independently: a component with no solution
-    refutes the current branch outright, and alternatives in one component
-    are never re-enumerated because a sibling failed. That keeps search
-    local on instances stitched together from many small widgets.
+    chosen by minimum remaining values (degree, then id, breaks ties) and
+    colors are tried in ascending order. Whenever the residual graph on
+    unassigned vertices falls apart, the connected components are solved
+    independently: a component with no solution refutes the choice that
+    created it, and alternatives in one component are never re-enumerated
+    because a sibling failed. That keeps search local on instances
+    stitched together from many small widgets.
+
+    The search is iterative, so its depth is not bounded by the
+    interpreter's recursion limit. Each frame is one decision; each
+    pending component records the frame whose choice split it off (-1:
+    the top level). A frame that runs out of colors fails its component,
+    so the search drops every frame above that component's creator,
+    undoes the creator's choice and resumes it with its next color.
     """
     if any(not d for d in domains.values()):
         return None
-    adj = g.adj
     assigned: dict[int, int] = {}
-    trail: list[tuple[str, int, int]] = []
+    # (v, None) records an assignment, (v, c) the removal of c from v's list
+    trail: list[tuple[int, int | None]] = []
 
-    def propagate(seeds: list[tuple[int, int]]) -> bool:
-        queue = list(seeds)
+    def propagate(queue: list[tuple[int, int]]) -> bool:
+        # A queued (v, c) is consistent by construction: v is unassigned, c
+        # is in its list, and each assigned neighbour u already removed
+        # bad[color of u] from that list, so c fits u (bad is symmetric).
+        # A vertex is queued once, when its list shrinks to one color.
         while queue:
             v, c = queue.pop()
-            if v in assigned:
-                if assigned[v] != c:
-                    return False
-                continue
-            if c not in domains[v]:
-                return False
             assigned[v] = c
-            trail.append(("as", v, 0))
+            trail.append((v, None))
+            b = bad[c]
             for u in adj[v]:
                 if u in assigned:
-                    if assigned[u] == c:
-                        return False
                     continue
                 du = domains[u]
-                if c in du:
-                    du.remove(c)
-                    trail.append(("rm", u, c))
+                removed = False
+                for x in b:
+                    if x in du:
+                        du.remove(x)
+                        trail.append((u, x))
+                        removed = True
+                if removed:
                     if not du:
                         return False
                     if len(du) == 1:
@@ -139,14 +100,15 @@ def _solve_lists(g: Graph, domains: dict[int, set[int]]) -> dict[int, int] | Non
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            op, v, c = trail.pop()
-            if op == "as":
+            v, c = trail.pop()
+            if c is None:
                 del assigned[v]
             else:
                 domains[v].add(c)
 
-    def split(vs: set[int]) -> list[set[int]]:
-        left = set(vs)
+    def split(vs) -> list[set[int]]:
+        """Components of the host induced on the unassigned vertices of vs."""
+        left = {u for u in vs if u not in assigned}
         out = []
         while left:
             seed = left.pop()
@@ -163,35 +125,62 @@ def _solve_lists(g: Graph, domains: dict[int, set[int]]) -> dict[int, int] | Non
         out.sort(key=min)
         return out
 
-    def solve_component(comp: set[int]) -> bool:
-        live = {v for v in comp if v not in assigned}
-        if not live:
-            return True
-        v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
-        mark = len(trail)
-        for c in sorted(domains[v]):
-            if propagate([(v, c)]):
-                rest = {u for u in live if u not in assigned}
-                if all(solve_component(sub) for sub in split(rest)):
-                    return True
-            undo(mark)
-        return False
-
-    limit = sys.getrecursionlimit()
-    want = 4 * g.n + 1000
-    if want > limit:
-        sys.setrecursionlimit(want)
-    try:
-        forced = [(v, next(iter(domains[v])))
-                  for v in sorted(g.vertices) if len(domains[v]) == 1]
-        if not propagate(forced):
-            return None
-        rest = {v for v in g.vertices if v not in assigned}
-        if all(solve_component(comp) for comp in split(rest)):
-            return dict(assigned)
+    forced = [(v, next(iter(domains[v])))
+              for v in sorted(vertices) if len(domains[v]) == 1]
+    if not propagate(forced):
         return None
-    finally:
-        sys.setrecursionlimit(limit)
+    # pending components, smallest minimum vertex on top
+    todo = [(comp, -1) for comp in reversed(split(vertices))]
+    # frame: [component, vertex, colors, next color index, trail mark,
+    #         creator frame, len(todo) when the frame was opened]
+    frames: list[list] = []
+    while todo:
+        live, creator = todo.pop()
+        v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
+        frames.append([live, v, sorted(domains[v]), 0, len(trail), creator, len(todo)])
+        f = len(frames) - 1
+        while True:
+            live, v, colors, i, mark, creator, base = frames[f]
+            # a resumed frame drops its previous choice and what it split off
+            undo(mark)
+            del todo[base:]
+            while i < len(colors) and not propagate([(v, colors[i])]):
+                undo(mark)
+                i += 1
+            if i < len(colors):
+                break
+            if creator < 0:
+                return None
+            del frames[creator + 1:]
+            f = creator
+        frames[f][3] = i + 1
+        todo.extend((sub, f) for sub in reversed(split(live)))
+    return dict(assigned)
+
+
+def find_h_coloring(g: Graph, h: PatternGraph, guard=_UNSET) -> dict[int, int] | None:
+    """Search for an edge-preserving map from g into the target.
+
+    Returns a vertex -> target-vertex dict, or None when no homomorphism
+    exists. The witness is deterministic.
+    """
+    _check_guard(guard, H_COLORING_GUARD, g.n, "h-coloring")
+    colors = h.color_ids
+    hadj = h.graph.adj
+    bad = {c: tuple(x for x in colors if x not in hadj[c]) for c in colors}
+    return _search(g.adj, g.vertices, {v: set(colors) for v in g.vertices}, bad)
+
+
+def verify_h_coloring(g: Graph, h: PatternGraph, f: Mapping[int, int]) -> bool:
+    """Edge-by-edge check that f maps g into the target."""
+    missing = [v for v in g.vertices if v not in f]
+    if missing:
+        raise ValueError(f"map is not total; unassigned vertices: {missing[:5]}")
+    hadj = h.graph.adj
+    for u, v in g.edges():
+        if f[v] not in hadj[f[u]]:
+            return False
+    return True
 
 
 def find_list_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
@@ -200,21 +189,17 @@ def find_list_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
     Returns a vertex -> color dict, or None (immediately when some list is
     empty). ``inst`` is a composer.ListColoringInstance.
     """
-    limit = _resolve_guard(guard, LIST_COLORING_GUARD)
-    if limit is not None and inst.graph.n > limit:
-        raise CapacityError(
-            f"list-coloring guard exceeded: {inst.graph.n} > {limit} vertices")
-    domains = {v: set(inst.lists[v]) for v in inst.graph.vertices}
-    return _solve_lists(inst.graph, domains)
+    g = inst.graph
+    _check_guard(guard, LIST_COLORING_GUARD, g.n, "list-coloring")
+    domains = {v: set(inst.lists[v]) for v in g.vertices}
+    return _search(g.adj, g.vertices, domains, _K3_BAD)
 
 
 def find_3_coloring(g: Graph, guard=_UNSET) -> dict[int, int] | None:
     """Plain proper 3-coloring (all lists {1, 2, 3})."""
-    limit = _resolve_guard(guard, LIST_COLORING_GUARD)
-    if limit is not None and g.n > limit:
-        raise CapacityError(f"3-coloring guard exceeded: {g.n} > {limit} vertices")
+    _check_guard(guard, LIST_COLORING_GUARD, g.n, "3-coloring")
     domains = {v: {1, 2, 3} for v in g.vertices}
-    return _solve_lists(g, domains)
+    return _search(g.adj, g.vertices, domains, _K3_BAD)
 
 
 def find_2_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
@@ -226,8 +211,6 @@ def find_2_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
     composer.TriangleSplitInstance.
     """
     g = inst.to_graph()
-    limit = _resolve_guard(guard, LIST_COLORING_GUARD)
-    if limit is not None and g.n > limit:
-        raise CapacityError(f"2-3-coloring guard exceeded: {g.n} > {limit} vertices")
+    _check_guard(guard, LIST_COLORING_GUARD, g.n, "2-3-coloring")
     domains = {v: ({1, 2} if v < inst.u_size else {1, 2, 3}) for v in g.vertices}
-    return _solve_lists(g, domains)
+    return _search(g.adj, g.vertices, domains, _K3_BAD)

@@ -4,7 +4,9 @@ Everything here recomputes properties straight from definitions (pairwise
 neighborhood comparison, subset enumeration, exhaustive coloring search)
 so that library results are checked against a second, dumber route. The
 reference kernelization driver at the end is the same kind of route for
-``kernelize``: it recomputes everything after every rule application.
+``kernelize``: it recomputes everything after every rule application. The
+reference list-coloring search is the recursive search the oracle's
+iterative one replaced, kept to compare witnesses.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import sys
 import time
 
 from hckernel.gf2 import MaskBasis
@@ -124,11 +127,129 @@ def enumerate_h_colorings(g: Graph, h: Graph):
     yield from extend(0, {})
 
 
+def brute_list_h_colorings(g: Graph, h: Graph, lists: dict[int, frozenset[int]]):
+    """Yield every map sending each vertex into its list and each edge to
+    an edge of h (full product over the lists; keep n tiny)."""
+    verts = list(g.vertices)
+    for combo in itertools.product(*(sorted(lists[v]) for v in verts)):
+        f = dict(zip(verts, combo))
+        if all(f[v] in h.adj[f[u]] for u, v in g.edges()):
+            yield f
+
+
 def petersen_edges() -> list[tuple[int, int]]:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return edges
+
+
+# -- reference list-coloring search ---------------------------------------
+#
+# The recursive list-coloring search that ``hckernel.oracle._search``
+# replaced, kept as the differential oracle: the iterative search must
+# return the same witness dict on every list K3-coloring instance. It
+# raises the recursion limit because its depth grows with the host.
+
+def reference_solve_lists(g: Graph, domains: dict[int, set[int]]) -> dict[int, int] | None:
+    """Complete backtracking search with forward checking.
+
+    Singleton lists are propagated before any branching; variables are
+    chosen by minimum remaining values (degree tie-break). Whenever the
+    residual graph on unassigned vertices falls apart, the connected
+    components are solved independently: a component with no solution
+    refutes the current branch outright, and alternatives in one component
+    are never re-enumerated because a sibling failed. That keeps search
+    local on instances stitched together from many small widgets.
+    """
+    if any(not d for d in domains.values()):
+        return None
+    adj = g.adj
+    assigned: dict[int, int] = {}
+    trail: list[tuple[str, int, int]] = []
+
+    def propagate(seeds: list[tuple[int, int]]) -> bool:
+        queue = list(seeds)
+        while queue:
+            v, c = queue.pop()
+            if v in assigned:
+                if assigned[v] != c:
+                    return False
+                continue
+            if c not in domains[v]:
+                return False
+            assigned[v] = c
+            trail.append(("as", v, 0))
+            for u in adj[v]:
+                if u in assigned:
+                    if assigned[u] == c:
+                        return False
+                    continue
+                du = domains[u]
+                if c in du:
+                    du.remove(c)
+                    trail.append(("rm", u, c))
+                    if not du:
+                        return False
+                    if len(du) == 1:
+                        queue.append((u, next(iter(du))))
+        return True
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            op, v, c = trail.pop()
+            if op == "as":
+                del assigned[v]
+            else:
+                domains[v].add(c)
+
+    def split(vs: set[int]) -> list[set[int]]:
+        left = set(vs)
+        out = []
+        while left:
+            seed = left.pop()
+            comp = {seed}
+            stack = [seed]
+            while stack:
+                w = stack.pop()
+                for u in adj[w]:
+                    if u in left:
+                        left.remove(u)
+                        comp.add(u)
+                        stack.append(u)
+            out.append(comp)
+        out.sort(key=min)
+        return out
+
+    def solve_component(comp: set[int]) -> bool:
+        live = {v for v in comp if v not in assigned}
+        if not live:
+            return True
+        v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
+        mark = len(trail)
+        for c in sorted(domains[v]):
+            if propagate([(v, c)]):
+                rest = {u for u in live if u not in assigned}
+                if all(solve_component(sub) for sub in split(rest)):
+                    return True
+            undo(mark)
+        return False
+
+    limit = sys.getrecursionlimit()
+    want = 4 * g.n + 1000
+    if want > limit:
+        sys.setrecursionlimit(want)
+    try:
+        forced = [(v, next(iter(domains[v])))
+                  for v in sorted(g.vertices) if len(domains[v]) == 1]
+        if not propagate(forced):
+            return None
+        rest = {v for v in g.vertices if v not in assigned}
+        if all(solve_component(comp) for comp in split(rest)):
+            return dict(assigned)
+        return None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- reference row generator -----------------------------------------------

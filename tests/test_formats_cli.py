@@ -239,9 +239,17 @@ class TestCli:
         graph_file.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
         assert cli.main(["solve", "--graph", str(graph_file),
                          "--pattern", "K3", "--witness"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("COLORABLE")
-        assert "1 ->" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "COLORABLE"
+        witness = {}
+        for line in lines[1:]:
+            label, arrow, color = line.split()
+            assert arrow == "->"
+            witness[label] = int(color)
+        assert sorted(witness) == ["1", "2", "3", "4", "5"]
+        assert set(witness.values()) <= set(resolve_pattern("K3").color_ids)
+        for a, b in [("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("1", "5")]:
+            assert witness[a] != witness[b]
 
     def test_solve_negative(self, tmp_path, capsys):
         graph_file = tmp_path / "k4.col"

@@ -2,13 +2,20 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from hckernel.composer import ListColoringInstance, TriangleSplitInstance
+from hckernel.composer import (
+    ListColoringInstance,
+    TriangleSplitInstance,
+    build_blocking_gadget,
+    compose,
+    list_to_plain,
+)
 from hckernel.graphs import CapacityError, Graph, pattern_analyze
 from hckernel.oracle import (
-    Homomorphism,
+    _search,
     find_2_3_coloring,
     find_3_coloring,
     find_h_coloring,
@@ -16,7 +23,13 @@ from hckernel.oracle import (
     verify_h_coloring,
 )
 
-from helpers import brute_h_colorable, petersen_edges, random_graph
+from helpers import (
+    brute_h_colorable,
+    brute_list_h_colorings,
+    petersen_edges,
+    random_graph,
+    reference_solve_lists,
+)
 
 
 def clique(n):
@@ -30,13 +43,17 @@ def cycle(n):
 K3 = pattern_analyze(clique(3))
 K4 = pattern_analyze(clique(4))
 C5 = pattern_analyze(cycle(5))
+PETERSEN = pattern_analyze(Graph.from_edges(10, petersen_edges()))
+
+COLORABLE_INPUT = TriangleSplitInstance(1, 1, frozenset())
+UNCOLORABLE_INPUT = TriangleSplitInstance(1, 1, frozenset({(0, 0), (0, 1), (0, 2)}))
 
 
 class TestFindHColoring:
     def test_triangle_into_triangle(self):
         got = find_h_coloring(clique(3), K3)
         assert got is not None
-        assert sorted(got.mapping.values()) == [0, 1, 2]
+        assert sorted(got.values()) == [0, 1, 2]
 
     def test_triangle_into_c5_impossible(self):
         assert find_h_coloring(clique(3), C5) is None
@@ -49,11 +66,11 @@ class TestFindHColoring:
     def test_deterministic_witness(self):
         a = find_h_coloring(cycle(5), K3)
         b = find_h_coloring(cycle(5), K3)
-        assert a.mapping == b.mapping
+        assert a == b
 
     def test_guard(self):
         g = Graph.from_edges(21, [])
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="h-coloring guard exceeded: 21 > 20"):
             find_h_coloring(g, K3)
         assert find_h_coloring(g, K3, guard=None) is not None
 
@@ -99,7 +116,7 @@ class TestFindHColoring:
 
 class TestVerify:
     def test_identity_on_cycle(self):
-        ident = Homomorphism({v: v for v in range(5)})
+        ident = {v: v for v in range(5)}
         assert verify_h_coloring(cycle(5), C5, ident)
 
     def test_constant_map_rejected_on_edge(self):
@@ -138,7 +155,7 @@ class TestListColoring:
     def test_guard(self):
         g = Graph.from_edges(25, [])
         inst = ListColoringInstance(g, {v: frozenset({1}) for v in g.vertices})
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="list-coloring guard exceeded: 25 > 24"):
             find_list_3_coloring(inst)
         assert find_list_3_coloring(inst, guard=None) is not None
 
@@ -199,3 +216,95 @@ class TestPlainThreeColoring:
 
     def test_k4_is_not(self):
         assert find_3_coloring(clique(4)) is None
+
+
+class TestListHColoring:
+    """The one search with lists inside V(H) for targets beyond K3."""
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(55)
+        for h in (K4, C5, PETERSEN):
+            colors = h.color_ids
+            hadj = h.graph.adj
+            bad = {c: tuple(x for x in colors if x not in hadj[c]) for c in colors}
+            for _ in range(60):
+                g = random_graph(rng.randint(1, 8), rng.choice([0.2, 0.4, 0.7]), rng)
+                lists = {v: frozenset(rng.sample(colors, rng.randint(1, 3)))
+                         for v in g.vertices}
+                brute = next(brute_list_h_colorings(g, h.graph, lists), None)
+                got = _search(g.adj, g.vertices,
+                              {v: set(lists[v]) for v in g.vertices}, bad)
+                assert (got is not None) == (brute is not None)
+                if got is not None:
+                    assert all(got[v] in lists[v] for v in g.vertices)
+                    assert verify_h_coloring(g, h, got)
+
+
+class TestDeepHosts:
+    """The search is iterative: deep hosts need no recursion-limit raise."""
+
+    def test_long_path_without_recursion_limit_raise(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"recursion limit raised to {limit}")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        path = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+        plain = find_3_coloring(path, guard=None)
+        assert plain is not None
+        assert all(plain[u] != plain[v] for u, v in path.edges())
+        hom = find_h_coloring(path, C5, guard=None)
+        assert hom is not None and verify_h_coloring(path, C5, hom)
+
+
+def _pinned_gadget(gadget, ports):
+    lists = dict(gadget.instance.lists)
+    for p, col in zip(gadget.ports, ports):
+        lists[p] = frozenset({col})
+    return ListColoringInstance(gadget.instance.graph, lists)
+
+
+class TestMatchesReferenceSearch:
+    """Identical witness dicts, not just answers, against the recursive
+    search the iterative one replaced."""
+
+    @staticmethod
+    def _assert_same_list(inst):
+        g = inst.graph
+        want = reference_solve_lists(g, {v: set(inst.lists[v]) for v in g.vertices})
+        assert find_list_3_coloring(inst, guard=None) == want
+        return want
+
+    @staticmethod
+    def _assert_same_plain(g):
+        want = reference_solve_lists(g, {v: {1, 2, 3} for v in g.vertices})
+        assert find_3_coloring(g, guard=None) == want
+        return want
+
+    def test_gadget_port_colorings(self):
+        checked = 0
+        for m in (1, 2, 3):
+            for target in itertools.product((1, 2, 3), repeat=m):
+                gadget = build_blocking_gadget(target)
+                for ports in itertools.product((1, 2, 3), repeat=m):
+                    self._assert_same_list(_pinned_gadget(gadget, ports))
+                    checked += 1
+        assert checked == 819
+
+    def test_random_list_instances(self):
+        rng = random.Random(56)
+        for _ in range(200):
+            g = random_graph(rng.randint(1, 14), rng.choice([0.15, 0.3, 0.5]), rng)
+            lists = {v: frozenset(rng.sample([1, 2, 3], rng.randint(1, 3)))
+                     for v in g.vertices}
+            self._assert_same_list(ListColoringInstance(g, lists))
+            self._assert_same_plain(g)
+
+    @pytest.mark.parametrize("bundle, colorable", [
+        ([UNCOLORABLE_INPUT, COLORABLE_INPUT, UNCOLORABLE_INPUT, COLORABLE_INPUT], True),
+        ([COLORABLE_INPUT] * 4, True),
+        ([UNCOLORABLE_INPUT], False),
+    ], ids=["two", "all", "none t=1"])
+    def test_composed_bundles(self, bundle, colorable):
+        inst, _layout = compose(bundle)
+        assert (self._assert_same_list(inst) is not None) == colorable
+        assert (self._assert_same_plain(list_to_plain(inst)) is not None) == colorable
