@@ -17,8 +17,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .graphs import Graph
+from .oracle import _K3_BAD, _search
 
 COLORS = (1, 2, 3)
+
+# the seven nonempty lists inside COLORS, each one shared instance: every
+# vertex of a composed instance holds one of these
+_LISTS = {lst: lst for lst in (frozenset(sub) for r in (1, 2, 3)
+                               for sub in itertools.combinations(COLORS, r))}
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class _InstanceBuilder:
 
     def add_vertex(self, colors: Iterable[int], label: str) -> int:
         vid = len(self.lists)
-        self.lists.append(frozenset(colors))
+        self.lists.append(_LISTS[frozenset(colors)])
         self.labels[vid] = label
         return vid
 
@@ -229,15 +235,15 @@ def build_blocking_gadget(c: Sequence[int]) -> BlockingGadget:
 
 def gadget_extends(gadget: BlockingGadget, port_colors: Sequence[int]) -> bool:
     """Decide by exact search whether a port coloring extends to the gadget."""
-    from .oracle import find_list_3_coloring
-
     if len(port_colors) != len(gadget.ports):
         raise ValueError("one color per port required")
-    lists = dict(gadget.instance.lists)
+    if any(col not in COLORS for col in port_colors):
+        raise ValueError(f"port colors must be in 1..3: {tuple(port_colors)}")
+    g, lists = gadget.instance.graph, gadget.instance.lists
+    domains = {v: set(lists[v]) for v in g.vertices}
     for p, col in zip(gadget.ports, port_colors):
-        lists[p] = frozenset({col})
-    pinned = ListColoringInstance(gadget.instance.graph, lists)
-    return find_list_3_coloring(pinned, guard=None) is not None
+        domains[p] = {col}
+    return _search(g.adj, g.vertices, domains, _K3_BAD) is not None
 
 
 def _pad_to_square(inputs: Sequence[TriangleSplitInstance]) -> list[TriangleSplitInstance]:

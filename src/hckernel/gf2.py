@@ -71,19 +71,19 @@ class _InternedIds(dict):
     """Key -> id map that interns a key the first time it is indexed.
 
     Only a miss runs Python code, so ``ids[key]`` costs one dict lookup for
-    a key seen before. Each new key's vertex set is recorded once, at the
-    index of its id.
+    a key seen before. Each new key is recorded once, at the index of its
+    id.
     """
 
-    __slots__ = ("vertex_sets",)
+    __slots__ = ("keys_by_id",)
 
     def __init__(self):
         super().__init__()
-        self.vertex_sets: list[frozenset[int]] = []
+        self.keys_by_id: list[tuple] = []
 
     def __missing__(self, key: tuple) -> int:
         idx = self[key] = len(self)
-        self.vertex_sets.append(frozenset([v for v, _c in key]))
+        self.keys_by_id.append(key)
         return idx
 
 
@@ -105,16 +105,9 @@ class MonomialInterner:
         """Key -> id; indexing it with an unseen key interns that key."""
         return self._ids
 
-    @property
-    def vertex_sets(self) -> Sequence[frozenset[int]]:
-        """The vertices each id's monomial mentions, indexed by id."""
-        return self._ids.vertex_sets
-
-    def keys_by_id(self) -> list[tuple]:
-        out: list[tuple] = [()] * len(self._ids)
-        for key, idx in self._ids.items():
-            out[idx] = key
-        return out
+    def keys_by_id(self) -> Sequence[tuple]:
+        """The interned keys, indexed by id; it grows as keys are interned."""
+        return self._ids.keys_by_id
 
 
 def monomial_count_bound(n: int, d: int) -> int:

@@ -303,8 +303,9 @@ class _SpanEngine:
         got = self._vertex_sets.get(key)
         if got is None:
             union = reduce(or_, self.class_rows(class_size, neighborhood)[1], 0)
-            by_id = self.interner.vertex_sets
-            got = self._vertex_sets[key] = tuple({by_id[i] for i in _set_bits(union)})
+            keys = self.interner.keys_by_id()
+            got = self._vertex_sets[key] = tuple(
+                {frozenset([v for v, _c in keys[i]]) for i in _set_bits(union)})
         return got
 
     def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:

@@ -40,6 +40,25 @@ def _check_guard(guard, default: int, n: int, what: str) -> None:
         raise CapacityError(f"{what} guard exceeded: {n} > {guard} vertices")
 
 
+def _components(adj, left: set[int]) -> list[set[int]]:
+    """Connected components of the host induced on ``left``, which is
+    emptied."""
+    out = []
+    while left:
+        seed = left.pop()
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            w = stack.pop()
+            for u in adj[w]:
+                if u in left:
+                    left.remove(u)
+                    comp.add(u)
+                    stack.append(u)
+        out.append(comp)
+    return out
+
+
 def _search(adj, vertices, domains: dict[int, set[int]],
             bad: Mapping[int, tuple[int, ...]]) -> dict[int, int] | None:
     """Complete list-H-coloring search with forward checking.
@@ -56,7 +75,10 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     independently: a component with no solution refutes the choice that
     created it, and alternatives in one component are never re-enumerated
     because a sibling failed. That keeps search local on instances
-    stitched together from many small widgets.
+    stitched together from many small widgets. Siblings are solved
+    smallest first, so a failing sibling refutes its creator's choice
+    sooner; each solved sibling keeps its own first solution, so the
+    order never changes the witness.
 
     The search is iterative, so its depth is not bounded by the
     interpreter's recursion limit. Each frame is one decision; each
@@ -108,28 +130,15 @@ def _search(adj, vertices, domains: dict[int, set[int]],
 
     def split(vs) -> list[set[int]]:
         """Components of the host induced on the unassigned vertices of vs."""
-        left = {u for u in vs if u not in assigned}
-        out = []
-        while left:
-            seed = left.pop()
-            comp = {seed}
-            stack = [seed]
-            while stack:
-                w = stack.pop()
-                for u in adj[w]:
-                    if u in left:
-                        left.remove(u)
-                        comp.add(u)
-                        stack.append(u)
-            out.append(comp)
-        out.sort(key=min)
+        out = _components(adj, {u for u in vs if u not in assigned})
+        out.sort(key=len)
         return out
 
     forced = [(v, next(iter(domains[v])))
               for v in sorted(vertices) if len(domains[v]) == 1]
     if not propagate(forced):
         return None
-    # pending components, smallest minimum vertex on top
+    # pending components, smallest on top
     todo = [(comp, -1) for comp in reversed(split(vertices))]
     # frame: [component, vertex, colors, next color index, trail mark,
     #         creator frame, len(todo) when the frame was opened]
@@ -195,10 +204,39 @@ def find_list_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
     return _search(g.adj, g.vertices, domains, _K3_BAD)
 
 
+def _pin_cliques(adj, vertices, domains: dict[int, set[int]]) -> None:
+    """Pin one clique of up to three vertices per connected component to
+    colors 1, 2, 3, in place.
+
+    Permuting the colors of a proper coloring of one component gives
+    another, so some coloring puts any given clique on 1..3, and the
+    answer is kept. The clique starts at the component's highest-degree
+    vertex (smallest id on ties) and grows by the highest-degree common
+    neighbour: these are the search's own first choices, and their
+    remaining colors are refuted by that same symmetry, so the witness is
+    kept too.
+    """
+    def rank(u: int) -> tuple[int, int]:
+        return (-len(adj[u]), u)
+
+    for comp in _components(adj, set(vertices)):
+        v = min(comp, key=rank)
+        clique = [v]
+        common = set(adj[v])
+        while common and len(clique) < 3:
+            w = min(common, key=rank)
+            clique.append(w)
+            common &= adj[w]
+        for color, u in enumerate(clique, 1):
+            domains[u] = {color}
+
+
 def find_3_coloring(g: Graph, guard=_UNSET) -> dict[int, int] | None:
-    """Plain proper 3-coloring (all lists {1, 2, 3})."""
+    """Plain proper 3-coloring (all lists {1, 2, 3}), with one clique per
+    component pinned to colors 1, 2, 3 before the search."""
     _check_guard(guard, LIST_COLORING_GUARD, g.n, "3-coloring")
     domains = {v: {1, 2, 3} for v in g.vertices}
+    _pin_cliques(g.adj, g.vertices, domains)
     return _search(g.adj, g.vertices, domains, _K3_BAD)
 
 

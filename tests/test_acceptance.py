@@ -325,10 +325,11 @@ def test_criterion_6_blocking_gadget():
 @pytest.mark.slow
 def test_criterion_7_composition_or_equivalence():
     # all four truth patterns at t=4, n=1 with single-vertex independent
-    # sides (the largest configuration whose every bundle reliably fits
-    # the budget), plus two measured m=2 bundles: full four-pattern m=2
-    # coverage does not fit, because satisfiable searches can wander
-    # through wrong selector sectors whose refutations cost minutes each
+    # sides, plus three measured m=2 bundles. Full m=2 and t=16 coverage
+    # still does not fit the budget: the plain solve of an "m2 all" bundle
+    # and the list solve of a t=16 "one" bundle each take over 400 s,
+    # because satisfiable searches can wander through wrong selector
+    # sectors whose refutations are slow
     start = time.perf_counter()
     bundles = {
         "none": [UNCOLORABLE_INPUT] * 4,
@@ -338,6 +339,7 @@ def test_criterion_7_composition_or_equivalence():
         "all": [COLORABLE_INPUT] * 4,
         "m2 none": [UNCOLORABLE_2] * 4,
         "m2 one": [COLORABLE_2A] + [UNCOLORABLE_2] * 3,
+        "m2 two": [UNCOLORABLE_2, COLORABLE_2A, UNCOLORABLE_2, COLORABLE_2B],
     }
     outcomes = []
     for name, bundle in bundles.items():

@@ -72,6 +72,14 @@ class TestBlockingGadget:
         with pytest.raises(ValueError):
             build_blocking_gadget((4,))
 
+    def test_rejects_bad_port_colors(self):
+        gadget = build_blocking_gadget((2, 1))
+        for ports in ((0, 1), (1, 4)):
+            with pytest.raises(ValueError):
+                gadget_extends(gadget, ports)
+        with pytest.raises(ValueError, match="one color per port"):
+            gadget_extends(gadget, (2,))
+
     def test_single_port_target_two(self):
         gadget = build_blocking_gadget((2,))
         assert gadget_extends(gadget, (2,))

@@ -15,6 +15,7 @@ from hckernel.composer import (
 )
 from hckernel.graphs import CapacityError, Graph, pattern_analyze
 from hckernel.oracle import (
+    _pin_cliques,
     _search,
     find_2_3_coloring,
     find_3_coloring,
@@ -216,6 +217,56 @@ class TestPlainThreeColoring:
 
     def test_k4_is_not(self):
         assert find_3_coloring(clique(4)) is None
+
+
+class TestCliquePinning:
+    """find_3_coloring pins one clique per component to colors 1, 2, 3."""
+
+    @staticmethod
+    def _assert_proper(g, got):
+        assert got is not None
+        assert set(got) == set(g.vertices)
+        assert all(got[v] in (1, 2, 3) for v in g.vertices)
+        assert all(got[u] != got[v] for u, v in g.edges())
+
+    def test_two_triangle_components(self):
+        # two triangles, each with a pendant path, in one host
+        g = Graph.from_edges(10, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4),
+                                  (5, 6), (5, 7), (6, 7), (7, 8), (8, 9), (9, 5)])
+        domains = {v: {1, 2, 3} for v in g.vertices}
+        _pin_cliques(g.adj, g.vertices, domains)
+        pinned = {v: d for v, d in domains.items() if len(d) == 1}
+        # highest degree first, smallest id on ties: 2 then 0 then 1, and
+        # 5 (tied with 7) then 7 then 6
+        assert pinned == {2: {1}, 0: {2}, 1: {3}, 5: {1}, 7: {2}, 6: {3}}
+        got = find_3_coloring(g)
+        self._assert_proper(g, got)
+        assert all(got[v] == next(iter(d)) for v, d in pinned.items())
+
+    def test_k4_beside_a_triangle(self):
+        k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        g = Graph.from_edges(7, k4 + [(4, 5), (4, 6), (5, 6)])
+        assert find_3_coloring(g) is None
+
+    def test_triangle_free_components(self):
+        # path 0-1-2, a C5 on 3..7 and the isolated vertex 8
+        edges = [(0, 1), (1, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+        g = Graph.from_edges(9, edges)
+        domains = {v: {1, 2, 3} for v in g.vertices}
+        _pin_cliques(g.adj, g.vertices, domains)
+        pinned = {v: d for v, d in domains.items() if len(d) == 1}
+        # an edge per path and cycle, the vertex alone otherwise
+        assert pinned == {1: {1}, 0: {2}, 3: {1}, 4: {2}, 8: {1}}
+        self._assert_proper(g, find_3_coloring(g))
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(57)
+        for _ in range(300):
+            g = random_graph(rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]), rng)
+            got = find_3_coloring(g)
+            assert (got is not None) == brute_h_colorable(g, K3.graph)
+            if got is not None:
+                self._assert_proper(g, got)
 
 
 class TestListHColoring:
