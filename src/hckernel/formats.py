@@ -16,7 +16,7 @@ header and cross edges ``e <u> <v>`` where u indexes the independent side
 from __future__ import annotations
 
 import json
-from typing import IO
+from typing import IO, Callable
 
 from .composer import TriangleSplitInstance
 from .graphs import Graph, PatternGraph, pattern_analyze
@@ -38,28 +38,31 @@ def _directive_lines(text: str):
         yield line_no, parts
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse the DIMACS-style edge format into a graph.
+def _parse_edge_list(text: str, kind: str, sizes: str,
+                     endpoint_error: Callable[[int, int, int, int], str | None]
+                     ) -> tuple[int, int, set[tuple[int, int]]]:
+    """The two header sizes and the distinct 1-based edges of a file with
+    a ``p <kind> <sizes>`` header and ``e <u> <v>`` lines.
 
-    Vertex ids become dense 0-based integers; the original 1-based names
-    are kept as labels.
+    ``endpoint_error(a, b, u, v)`` checks an edge against the header sizes
+    a and b and returns the message for a bad one, None for a good one.
     """
-    n = None
+    dims = None
     edges: set[tuple[int, int]] = set()
     for line_no, parts in _directive_lines(text):
         if parts[0] == "p":
-            if n is not None:
+            if dims is not None:
                 raise ParseError(line_no, "duplicate problem header")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError(line_no, f"expected 'p edge <n> <m>', got {' '.join(parts)!r}")
+            if len(parts) != 4 or parts[1] != kind:
+                raise ParseError(line_no, f"expected 'p {kind} {sizes}', got {' '.join(parts)!r}")
             try:
-                n, declared_m = int(parts[2]), int(parts[3])
+                dims = (int(parts[2]), int(parts[3]))
             except ValueError:
                 raise ParseError(line_no, "non-integer sizes in header") from None
-            if n < 0 or declared_m < 0:
+            if dims[0] < 0 or dims[1] < 0:
                 raise ParseError(line_no, "negative sizes in header")
         elif parts[0] == "e":
-            if n is None:
+            if dims is None:
                 raise ParseError(line_no, "edge before problem header")
             if len(parts) != 3:
                 raise ParseError(line_no, f"expected 'e <u> <v>', got {' '.join(parts)!r}")
@@ -67,17 +70,34 @@ def parse_graph(text: str) -> Graph:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(line_no, "non-integer endpoints") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"endpoint out of range 1..{n}")
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            edges.add((min(u, v) - 1, max(u, v) - 1))
+            problem = endpoint_error(*dims, u, v)
+            if problem is not None:
+                raise ParseError(line_no, problem)
+            edges.add((u, v))
         else:
             raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if n is None:
-        raise ParseError(1, "missing 'p edge' header")
+    if dims is None:
+        raise ParseError(1, f"missing 'p {kind}' header")
+    return (*dims, edges)
+
+
+def _graph_endpoint_error(n: int, _m: int, u: int, v: int) -> str | None:
+    if not (1 <= u <= n and 1 <= v <= n):
+        return f"endpoint out of range 1..{n}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    return None
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the DIMACS-style edge format into a graph.
+
+    Vertex ids become dense 0-based integers; the original 1-based names
+    are kept as labels.
+    """
+    n, _m, edges = _parse_edge_list(text, "edge", "<n> <m>", _graph_endpoint_error)
     labels = {v: str(v + 1) for v in range(n)}
-    return Graph.from_edges(n, sorted(edges), labels)
+    return Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges], labels)
 
 
 def emit_graph(g: Graph, include_labels: bool = True) -> str:
@@ -97,39 +117,16 @@ def emit_graph(g: Graph, include_labels: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _tsd_endpoint_error(m: int, n: int, u: int, v: int) -> str | None:
+    if 1 <= u <= m and 1 <= v <= 3 * n:
+        return None
+    return "cross-edge endpoint out of range"
+
+
 def parse_tsd(text: str) -> TriangleSplitInstance:
     """Parse a triangle-split instance file."""
-    dims = None
-    edges: set[tuple[int, int]] = set()
-    for line_no, parts in _directive_lines(text):
-        if parts[0] == "p":
-            if dims is not None:
-                raise ParseError(line_no, "duplicate problem header")
-            if len(parts) != 4 or parts[1] != "tsd":
-                raise ParseError(line_no, f"expected 'p tsd <m> <n>', got {' '.join(parts)!r}")
-            try:
-                dims = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError(line_no, "non-integer sizes in header") from None
-            if dims[0] < 0 or dims[1] < 0:
-                raise ParseError(line_no, "negative sizes in header")
-        elif parts[0] == "e":
-            if dims is None:
-                raise ParseError(line_no, "edge before problem header")
-            if len(parts) != 3:
-                raise ParseError(line_no, f"expected 'e <u> <v>', got {' '.join(parts)!r}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(line_no, "non-integer endpoints") from None
-            if not (1 <= u <= dims[0] and 1 <= v <= 3 * dims[1]):
-                raise ParseError(line_no, "cross-edge endpoint out of range")
-            edges.add((u - 1, v - 1))
-        else:
-            raise ParseError(line_no, f"unknown directive {parts[0]!r}")
-    if dims is None:
-        raise ParseError(1, "missing 'p tsd' header")
-    return TriangleSplitInstance(dims[0], dims[1], frozenset(edges))
+    m, n, edges = _parse_edge_list(text, "tsd", "<m> <n>", _tsd_endpoint_error)
+    return TriangleSplitInstance(m, n, frozenset((u - 1, v - 1) for u, v in edges))
 
 
 def emit_tsd(inst: TriangleSplitInstance) -> str:

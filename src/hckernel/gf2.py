@@ -13,7 +13,7 @@ bit and ``MaskBasis`` reduces rows by pivot.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 # name of the elimination implementation, written to the stats JSON
 BACKEND = "pure"
@@ -67,12 +67,15 @@ class MaskBasis:
         return [self._pivots[p] for p in sorted(self._pivots, reverse=True)]
 
 
-class _InternedIds(dict):
-    """Key -> id map that interns a key the first time it is indexed.
+class MonomialInterner(dict):
+    """Key -> bit index map that interns a key the first time it is indexed.
 
-    Only a miss runs Python code, so ``ids[key]`` costs one dict lookup for
-    a key seen before. Each new key is recorded once, at the index of its
-    id.
+    Keys are sorted tuples of (vertex, color) pairs, numbered in first-seen
+    order. Any fixed monomial order yields the same spans and ranks;
+    first-seen order makes the leading term a plain ``bit_length`` call on
+    the row bitmask. Only a miss runs Python code, so ``interner[key]``
+    costs one dict lookup for a key seen before. ``keys_by_id`` lists the
+    interned keys by index and grows as keys are interned.
     """
 
     __slots__ = ("keys_by_id",)
@@ -85,29 +88,6 @@ class _InternedIds(dict):
         idx = self[key] = len(self)
         self.keys_by_id.append(key)
         return idx
-
-
-class MonomialInterner:
-    """Assigns stable bit indices to monomial keys in first-seen order.
-
-    Keys are sorted tuples of (vertex, color) pairs. Any fixed monomial
-    order yields the same spans and ranks; first-seen order makes the
-    leading term a plain ``bit_length`` call on the row bitmask.
-    """
-
-    __slots__ = ("_ids",)
-
-    def __init__(self):
-        self._ids = _InternedIds()
-
-    @property
-    def ids(self) -> Mapping[tuple, int]:
-        """Key -> id; indexing it with an unseen key interns that key."""
-        return self._ids
-
-    def keys_by_id(self) -> Sequence[tuple]:
-        """The interned keys, indexed by id; it grows as keys are interned."""
-        return self._ids.keys_by_id
 
 
 def monomial_count_bound(n: int, d: int) -> int:
@@ -128,7 +108,7 @@ def in_span(target: Iterable[tuple], generators: Iterable[Iterable[tuple]]) -> b
     a fresh ``MaskBasis`` from all generators, so a caller checking many
     targets against the same generators should build the basis once itself.
     """
-    ids = MonomialInterner().ids
+    ids = MonomialInterner()
     basis = MaskBasis()
     for row in generators:
         mask = 0

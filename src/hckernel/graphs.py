@@ -82,9 +82,6 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
-
     def neighborhood_of_set(self, s: Iterable[int]) -> frozenset[int]:
         """Open neighborhood of a vertex set (neighbours outside the set)."""
         s = frozenset(s)
@@ -119,10 +116,6 @@ class Graph:
             labels = {v: self.labels[v] for v in vs if v in self.labels}
         return Graph(vs, adj, labels)
 
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        keep = frozenset(keep)
-        return self.without_vertices(set(self.vertices) - keep)
-
     def label_of(self, v: int) -> str:
         if self.labels is not None and v in self.labels:
             return self.labels[v]
@@ -142,12 +135,6 @@ class TwinDecomposition:
     """
 
     classes: tuple[frozenset[int], ...]
-
-    def class_containing(self, v: int) -> frozenset[int]:
-        for cls in self.classes:
-            if v in cls:
-                return cls
-        raise KeyError(v)
 
     def class_index(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -170,16 +157,34 @@ class TwinCover:
 
 @dataclass(eq=False)
 class PatternGraph:
-    """A fixed target graph with its cached structural parameters."""
+    """A fixed target graph with the structural parameters it derives.
+
+    Construction fills the maximum degree and the clique number (by
+    exhaustive search; the target is constant-size) and rejects an empty
+    or bipartite target with ``PatternError``: for a bipartite target the
+    homomorphism question degenerates to a bipartiteness test and is
+    polynomial-time solvable, so there is nothing to kernelize.
+    Self-loops are already impossible in ``Graph`` values.
+    """
 
     graph: Graph
-    max_degree: int
-    clique_number: int
-    is_bipartite: bool
+    max_degree: int = field(init=False)
+    clique_number: int = field(init=False)
     _omega_memo: dict[frozenset[int], int] = field(default_factory=dict, repr=False)
     # per-pattern row pieces, filled on first use by hckernel.constraints
     _sequence_memo: dict[int, tuple] = field(default_factory=dict, repr=False)
     _selector_memo: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        h = self.graph
+        if h.n == 0:
+            raise PatternError("empty target graph")
+        if _bipartition(h):
+            raise PatternError(
+                "bipartite target graph rejected: the coloring question is "
+                "polynomial-time solvable, nothing to kernelize")
+        self.max_degree = max(h.degree(v) for v in h.vertices)
+        self.clique_number = _max_clique_size(h)
 
     @property
     def color_ids(self) -> tuple[int, ...]:
@@ -223,17 +228,19 @@ def twin_decomposition(g: Graph) -> TwinDecomposition:
     return TwinDecomposition(tuple(classes))
 
 
+def _non_twin_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g whose endpoints are not true twins, in ``edges`` order."""
+    cls = twin_decomposition(g).class_index()
+    return [(u, v) for u, v in g.edges() if cls[u] != cls[v]]
+
+
 def is_twin_cover(g: Graph, s: Iterable[int]) -> bool:
     """True iff every edge of g has an endpoint in s or joins true twins."""
     s = frozenset(s)
     unknown = s - set(g.vertices)
     if unknown:
         raise ValueError(f"unknown vertex ids in cover candidate: {sorted(unknown)}")
-    cls = twin_decomposition(g).class_index()
-    for u, v in g.edges():
-        if u not in s and v not in s and cls[u] != cls[v]:
-            return False
-    return True
+    return all(u in s or v in s for u, v in _non_twin_edges(g))
 
 
 def min_twin_cover(g: Graph, guard: int | None = 30) -> TwinCover:
@@ -245,8 +252,7 @@ def min_twin_cover(g: Graph, guard: int | None = 30) -> TwinCover:
     """
     if guard is not None and g.n > guard:
         raise CapacityError(f"min_twin_cover guard exceeded: {g.n} > {guard} vertices")
-    cls = twin_decomposition(g).class_index()
-    edges = [e for e in g.edges() if cls[e[0]] != cls[e[1]]]
+    edges = _non_twin_edges(g)
     if not edges:
         return TwinCover(frozenset())
 
@@ -311,39 +317,25 @@ def _bipartition(g: Graph) -> bool:
 def _max_clique_size(g: Graph, within: frozenset[int] | None = None) -> int:
     """Exhaustive maximum clique on a constant-size graph."""
     verts = sorted(within) if within is not None else list(g.vertices)
-    best = 0
+    return _grow_clique(g.adj, 0, verts, 0)
 
-    def extend(size: int, candidates: list[int]) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        for i, v in enumerate(candidates):
-            if size + len(candidates) - i <= best:
-                return
-            extend(size + 1, [u for u in candidates[i + 1:] if u in g.adj[v]])
 
-    extend(0, verts)
+def _grow_clique(adj: dict[int, frozenset[int]], size: int, candidates: list[int],
+                 best: int) -> int:
+    """The larger of best and the largest clique that extends a clique of
+    ``size`` vertices by common neighbours from ``candidates``.
+
+    A module-level function rather than a closure: a recursive closure
+    reaches itself through its cell, a reference cycle per call.
+    """
+    best = max(best, size)
+    for i, v in enumerate(candidates):
+        if size + len(candidates) - i <= best:
+            break
+        best = _grow_clique(adj, size + 1, [u for u in candidates[i + 1:] if u in adj[v]], best)
     return best
 
 
 def pattern_analyze(h: Graph) -> PatternGraph:
-    """Validate and analyze a target graph.
-
-    Fills the maximum degree, the clique number (by exhaustive search; the
-    target is constant-size) and the bipartiteness flag. Bipartite targets
-    are rejected: for them the homomorphism question degenerates to a
-    bipartiteness test and is polynomial-time solvable, so there is nothing
-    to kernelize. Self-loops are already impossible in ``Graph`` values.
-    """
-    if h.n == 0:
-        raise PatternError("empty target graph")
-    if _bipartition(h):
-        raise PatternError(
-            "bipartite target graph rejected: the coloring question is "
-            "polynomial-time solvable, nothing to kernelize")
-    return PatternGraph(
-        graph=h,
-        max_degree=max(h.degree(v) for v in h.vertices),
-        clique_number=_max_clique_size(h),
-        is_bipartite=False,
-    )
+    """Validate and analyze a target graph: ``PatternGraph(h)``."""
+    return PatternGraph(h)

@@ -101,11 +101,20 @@ class KernelStats:
 
 @dataclass(frozen=True)
 class AppliedRule:
-    """One successful rule application; ``graph`` is the state afterwards."""
+    """One successful rule application, logged as what it removed.
+
+    For rule 2, ``p1`` and ``p2`` are the ordered pair of twin classes and
+    ``removed_edges`` the edges that joined them. For rule 1, ``p1`` is the
+    offending class; for rule 3, it is the removed class, whose vertices
+    and internal edges are the removals. ``p2`` is then empty. Replaying
+    the removals in order on the input yields the graph after every step.
+    """
 
     rule: str
-    detail: str
-    graph: Graph
+    p1: frozenset[int]
+    p2: frozenset[int] = frozenset()
+    removed_vertices: frozenset[int] = frozenset()
+    removed_edges: frozenset[tuple[int, int]] = frozenset()
 
 
 @dataclass
@@ -113,7 +122,8 @@ class KernelResult:
     """Outcome of a kernelization run.
 
     Either ``trivial_no`` is set (rule 1 fired; ``graph`` is None) or
-    ``graph`` holds the kernel, a subgraph of the input.
+    ``graph`` holds the kernel, a subgraph of the input. ``history`` is the
+    removal log of every application, when it was asked for.
     """
 
     graph: Graph | None
@@ -250,16 +260,13 @@ class _SpanEngine:
     need them, which in practice happens after the graph has shrunk.
     """
 
-    def __init__(self, h: PatternGraph):
+    def __init__(self, h: PatternGraph, stats: KernelStats):
         self.h = h
+        self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
         self._rows: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._vertex_sets: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
-        self.span_tests = 0
-        self.span_refuted = 0
-        self.rows_considered = 0
-        self.max_basis_rank = 0
 
     def _cap(self, class_size: int) -> int:
         return min(class_size, self.h.clique_number + 1)
@@ -286,7 +293,7 @@ class _SpanEngine:
         key = (self._cap(class_size), neighborhood)
         got = self._rows.get(key)
         if got is None:
-            ids = self.interner.ids   # indexing interns an unseen key
+            ids = self.interner   # indexing interns an unseen key
             masks = []
             for _kind, _s, _x, keys in iter_class_constraint_keys(self.h, key[0], neighborhood):
                 mask = 0
@@ -303,7 +310,7 @@ class _SpanEngine:
         got = self._vertex_sets.get(key)
         if got is None:
             union = reduce(or_, self.class_rows(class_size, neighborhood)[1], 0)
-            keys = self.interner.keys_by_id()
+            keys = self.interner.keys_by_id
             got = self._vertex_sets[key] = tuple(
                 {frozenset([v for v, _c in keys[i]]) for i in _set_bits(union)})
         return got
@@ -336,7 +343,8 @@ class _SpanEngine:
         partial twin decomposition of the reduced graph, so all other
         classes reuse their rows.
         """
-        self.span_tests += 1
+        stats = self.stats
+        stats.span_tests += 1
         members = tc.members
         p1, p2 = members[a1], members[a2]
         rows, targets = self.class_rows(len(p1), tc.sorted_nbhd(a1))
@@ -350,8 +358,8 @@ class _SpanEngine:
                                for a, nbhd in reduced.items()})
         if self._refuted(tc, a1, a2):
             # a failing test feeds every source; the estimates are exact
-            self.span_refuted += 1
-            self.rows_considered += sum(est for est, _a in sources)
+            stats.span_refuted += 1
+            stats.rows_considered += sum(est for est, _a in sources)
             return False
 
         basis = MaskBasis()
@@ -365,8 +373,8 @@ class _SpanEngine:
             grew = False
             for mask in distinct:  # identical vectors inserted once
                 grew |= basis.insert(mask)
-            self.rows_considered += len(rows)
-            self.max_basis_rank = max(self.max_basis_rank, basis.rank)
+            stats.rows_considered += len(rows)
+            stats.max_basis_rank = max(stats.max_basis_rank, basis.rank)
             # covered targets stay covered: check until the first that is not
             while grew and basis.contains(pending[-1]):
                 pending.pop()
@@ -392,7 +400,7 @@ def rule2_try_remove_edges(g: Graph, h: PatternGraph, pi: TwinDecomposition,
         return None
     if p1 not in pi.classes or p2 not in pi.classes:
         raise ValueError("rule 2 needs two classes of the decomposition")
-    engine = _SpanEngine(h)
+    engine = _SpanEngine(h, KernelStats())
     tc = _TwinClasses(g, pi, engine)
     if engine.span_test(tc, min(p1), min(p2)):
         return g.without_edges(removed)
@@ -413,12 +421,10 @@ def rule3_remove_isolated_clique(g: Graph, h: PatternGraph,
     return None
 
 
-def _freeze(adj: Mapping[int, AbstractSet[int]], labels: dict[int, str] | None) -> Graph:
-    """Immutable graph of the working adjacency, keeping surviving labels."""
-    vs = tuple(sorted(adj))
-    if labels is not None:
-        labels = {v: labels[v] for v in vs if v in labels}
-    return Graph(vs, {v: frozenset(adj[v]) for v in vs}, labels)
+def _edges_joining(adj: Mapping[int, AbstractSet[int]], a: AbstractSet[int],
+                   b: AbstractSet[int]) -> frozenset[tuple[int, int]]:
+    """Edges of the working adjacency from a to b, as sorted pairs."""
+    return frozenset((u, v) if u < v else (v, u) for u in a for v in adj[u] & b)
 
 
 def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> KernelResult:
@@ -429,43 +435,41 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
     of rule 2. The applications, their order, the kernel and the counters
     are exactly those of recomputing the twin decomposition and restarting
     after every single application; the twin classes are maintained
-    instead (see the module docstring). With ``record_history`` the graph
-    after every application is frozen into the history.
+    instead (see the module docstring). With ``record_history`` every
+    application is logged with what it removed (``AppliedRule``).
     """
-    if h.is_bipartite:
-        raise ValueError("target graph must be non-bipartite")
     start = time.perf_counter()
     pi = twin_decomposition(g)
     stats = KernelStats(input_n=g.n, input_m=g.m, twin_classes=len(pi.classes))
-    engine = _SpanEngine(h)
+    engine = _SpanEngine(h, stats)
     tc = _TwinClasses(g, pi, engine)
-    history: list[AppliedRule] = []
+    history: list[AppliedRule] | None = [] if record_history else None
     adj = {v: set(nb) for v, nb in g.adj.items()}
-
-    def record(rule: str, detail: str) -> None:
-        if record_history:
-            history.append(AppliedRule(rule, detail, _freeze(adj, g.labels)))
 
     changed = sorted(tc.members)   # classes whose rule 1/3 status may differ
     trivial = False
     while True:
         stats.passes += 1
-        if any(len(tc.members[a]) > h.clique_number for a in changed):
+        big = next((a for a in changed if len(tc.members[a]) > h.clique_number), None)
+        if big is not None:
             stats.rule1 += 1
             trivial = True
-            record("rule1", "twin class larger than target clique number")
+            if history is not None:
+                history.append(AppliedRule("rule1", tc.members[big]))
             break
         for a in changed:
             if not _isolated_small(tc.members[a], tc.nbhd[a], h):
                 continue
             # rule 3; the next pass would find every other class unchanged
             cls = tc.drop(a)
+            if history is not None:
+                history.append(AppliedRule("rule3", cls, removed_vertices=cls,
+                                           removed_edges=_edges_joining(adj, cls, cls)))
             for v in cls:
                 del adj[v]
             stats.rule3 += 1
             stats.removed_vertices += len(cls)
             stats.removed_edges += len(cls) * (len(cls) - 1) // 2
-            record("rule3", "removed isolated twin class")
             stats.passes += 1
         for a1, a2 in tc.pairs():
             if engine.span_test(tc, a1, a2):
@@ -474,6 +478,9 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
             break
         # rule 2; twin classes joined by one edge are joined completely
         p1, p2 = tc.members[a1], tc.members[a2]
+        if history is not None:
+            history.append(AppliedRule("rule2", p1, p2,
+                                       removed_edges=_edges_joining(adj, p1, p2)))
         n1, n2 = tc.nbhd[a1] - p2, tc.nbhd[a2] - p1
         tc.drop(a1)
         tc.drop(a2)
@@ -484,14 +491,14 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         changed = sorted((tc.add(p1, n1), tc.add(p2, n2)))
         stats.rule2 += 1
         stats.removed_edges += len(p1) * len(p2)
-        record("rule2", f"removed edges between classes {sorted(p1)} and {sorted(p2)}")
 
-    stats.span_tests = engine.span_tests
-    stats.span_refuted = engine.span_refuted
-    stats.rows_considered = engine.rows_considered
-    stats.max_basis_rank = engine.max_basis_rank
-    kernel = None if trivial else _freeze(adj, g.labels)
-    if kernel is not None:
+    kernel = None
+    if not trivial:
+        vs = tuple(sorted(adj))
+        labels = g.labels
+        if labels is not None:
+            labels = {v: labels[v] for v in vs if v in labels}
+        kernel = Graph(vs, {v: frozenset(adj[v]) for v in vs}, labels)
         stats.kernel_n = kernel.n
         stats.kernel_m = kernel.m
     stats.time_seconds = time.perf_counter() - start
@@ -499,7 +506,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         graph=kernel,
         trivial_no=trivial,
         stats=stats,
-        history=tuple(history),
+        history=tuple(history or ()),
     )
 
 

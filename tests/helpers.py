@@ -297,7 +297,7 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
     """Some monomial of p1's rows mentions a vertex of p2, and no class
     other than p1 and p2 has all of its vertices as neighbours."""
-    keys = engine.interner.keys_by_id()
+    keys = engine.interner.keys_by_id
     others = [g.neighborhood_of_set(c) for c in pi.classes if c != p1 and c != p2]
     for row in targets:
         idx = 0
@@ -315,12 +315,13 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     removed = g.edges_between(p1, p2)
     if not removed:
         return None
-    engine.span_tests += 1
+    stats = engine.stats
+    stats.span_tests += 1
     targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))[0]
     if not targets:
         return g.without_edges(removed)
     refuted = _reference_refuted(engine, g, pi, p1, p2, targets)
-    engine.span_refuted += refuted
+    stats.span_refuted += refuted
 
     sources = []
     for cls in pi.classes:
@@ -345,7 +346,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
         grew = False
         for mask in sorted(set(rows)):
             grew |= basis.insert(mask)
-        engine.rows_considered += len(rows)
+        stats.rows_considered += len(rows)
         rank = basis.rank
         if grew:
             pending = [t for t in pending if not basis.contains(t)]
@@ -355,7 +356,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     assert not (refuted and in_span), "refuted a span test that succeeds"
     if not refuted:
         # a refuted test builds no basis in the library
-        engine.max_basis_rank = max(engine.max_basis_rank, rank)
+        stats.max_basis_rank = max(stats.max_basis_rank, rank)
     return g.without_edges(removed) if in_span else None
 
 
@@ -375,28 +376,34 @@ def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
 
 def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelResult:
     """Rule 1, then rule 3, then rule 2 over the ranked pairs; restart the
-    pass from scratch after any successful application."""
-    if h.is_bipartite:
-        raise ValueError("target graph must be non-bipartite")
+    pass from scratch after any successful application.
+
+    With ``record_history`` the removal log is built from the rules' own
+    view (the classes and ``edges_between``), and replaying it must give
+    the graph this driver held after every application.
+    """
     start = time.perf_counter()
     stats = KernelStats(input_n=g.n, input_m=g.m,
                         twin_classes=len(twin_decomposition(g).classes))
-    engine = _SpanEngine(h)
+    engine = _SpanEngine(h, stats)
     history: list[AppliedRule] = []
+    held: list[Graph] = []
     work = g
 
-    def record(rule: str, detail: str) -> None:
+    def record(step: AppliedRule, reduced: Graph) -> None:
         if record_history:
-            history.append(AppliedRule(rule, detail, work))
+            history.append(step)
+            held.append(reduced)
 
     trivial = False
     while True:
         stats.passes += 1
         pi = twin_decomposition(work)
-        if any(len(cls) > h.clique_number for cls in pi.classes):
+        big = next((cls for cls in pi.classes if len(cls) > h.clique_number), None)
+        if big is not None:
             stats.rule1 += 1
             trivial = True
-            record("rule1", "twin class larger than target clique number")
+            record(AppliedRule("rule1", big), work)
             break
         isolated = next((cls for cls in pi.classes if len(cls) <= h.clique_number
                          and not work.neighborhood_of_set(cls)), None)
@@ -405,25 +412,25 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
             stats.rule3 += 1
             stats.removed_vertices += work.n - reduced.n
             stats.removed_edges += work.m - reduced.m
+            record(AppliedRule("rule3", isolated, removed_vertices=isolated,
+                               removed_edges=work.edges_between(isolated, isolated)),
+                   reduced)
             work = reduced
-            record("rule3", "removed isolated twin class")
             continue
         for p1, p2 in _reference_pairs(work, pi, engine):
             reduced = _reference_rule2(engine, work, pi, p1, p2)
             if reduced is not None:
                 stats.rule2 += 1
                 stats.removed_edges += work.m - reduced.m
+                record(AppliedRule("rule2", p1, p2,
+                                   removed_edges=work.edges_between(p1, p2)), reduced)
                 work = reduced
-                record("rule2", f"removed edges between classes "
-                                f"{sorted(p1)} and {sorted(p2)}")
                 break
         else:
             break
 
-    stats.span_tests = engine.span_tests
-    stats.span_refuted = engine.span_refuted
-    stats.rows_considered = engine.rows_considered
-    stats.max_basis_rank = engine.max_basis_rank
+    assert [(x, x.labels) for x in held] == [(x, x.labels) for x in replay(g, history)], \
+        "the removal log does not replay to the graphs this driver held"
     stats.kernel_n = 0 if trivial else work.n
     stats.kernel_m = 0 if trivial else work.m
     stats.time_seconds = time.perf_counter() - start
@@ -431,11 +438,22 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
                         stats=stats, history=tuple(history))
 
 
+def replay(g: Graph, history) -> list[Graph]:
+    """The graph after each step of a removal log, starting from g.
+
+    A rule 1 step removes nothing, so its graph is the one before it.
+    """
+    out = []
+    for step in history:
+        g = g.without_edges(step.removed_edges).without_vertices(step.removed_vertices)
+        out.append(g)
+    return out
+
+
 def run_summary(res: KernelResult) -> tuple:
     """Everything two kernelization drivers must agree on: the answer, the
-    kernel with its labels, every counter except the time, and the graph
-    after every rule application."""
+    kernel with its labels, every counter except the time, and the removal
+    log."""
     stats = {k: v for k, v in dataclasses.asdict(res.stats).items() if k != "time_seconds"}
     graph = None if res.graph is None else (res.graph, res.graph.labels)
-    steps = tuple((s.rule, s.detail, s.graph, s.graph.labels) for s in res.history)
-    return res.trivial_no, graph, stats, steps
+    return res.trivial_no, graph, stats, res.history

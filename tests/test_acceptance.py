@@ -42,7 +42,7 @@ from hckernel.graphs import (
     pattern_analyze,
     twin_decomposition,
 )
-from hckernel.kernelization import _SpanEngine, kernel_size_bound, kernelize
+from hckernel.kernelization import KernelStats, _SpanEngine, kernel_size_bound, kernelize
 from hckernel.oracle import (
     find_2_3_coloring,
     find_3_coloring,
@@ -50,7 +50,7 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph, reference_kernelize, run_summary
+from helpers import random_graph, reference_kernelize, replay, run_summary
 
 
 def clique(n):
@@ -141,10 +141,10 @@ def corpus_records():
     for rec in records:
         rec.input_cover = min_twin_cover(rec.graph).size
         covers = []
-        for step in rec.history:
+        for step, after in zip(rec.history, replay(rec.graph, rec.history)):
             if step.rule == "rule1":
                 continue
-            covers.append(min_twin_cover(step.graph).size)
+            covers.append(min_twin_cover(after).size)
         rec.step_covers = covers
     return records, elapsed
 
@@ -392,13 +392,13 @@ def test_criterion_9_bookkeeping_bounds(corpus_records):
         g = rec.graph
         # a fresh engine per build, so its interner holds exactly the
         # distinct monomials of this graph's rows
-        engine = _SpanEngine(h)
+        engine = _SpanEngine(h, KernelStats())
         total = 0
         for cls in twin_decomposition(g).classes:
             nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
             total += len(engine.class_rows(len(cls), nbhd)[0])
         assert total <= constraint_count_bound(g.n, h)
-        monos = len(engine.interner.ids)
+        monos = len(engine.interner)
         assert monos <= monomial_count_bound(g.n * h.num_colors, h.max_degree)
         checked += 1
     print(f"criterion 9: PASS - constraint and monomial bounds on "

@@ -16,7 +16,7 @@ from hckernel.constraints import (
 )
 from hckernel.formats import resolve_pattern
 from hckernel.graphs import Graph, pattern_analyze, twin_decomposition
-from hckernel.kernelization import _SpanEngine, kernelize
+from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
 
 from helpers import enumerate_h_colorings, random_graph, reference_class_constraint_keys
 
@@ -267,7 +267,7 @@ class TestRowPieces:
     def test_estimate_is_exact_row_count(self, name):
         # the pair ranking orders classes by this estimate
         h = resolve_pattern(name)
-        engine = _SpanEngine(h)
+        engine = _SpanEngine(h, KernelStats())
         for size, m in row_cases(h):
             rows, _ = engine.class_rows(size, tuple(range(m)))
             assert engine.estimate_rows(size, m) == len(rows), (size, m)

@@ -59,12 +59,12 @@ class TestBasis:
     same generators."""
 
     def test_accepts_independent(self):
-        ids, basis = MonomialInterner().ids, MaskBasis()
+        ids, basis = MonomialInterner(), MaskBasis()
         assert basis.insert(mask(ids, constraint(X1))) is True
         assert basis.rank == 1
 
     def test_rejects_sum_of_rows(self):
-        ids, basis = MonomialInterner().ids, MaskBasis()
+        ids, basis = MonomialInterner(), MaskBasis()
         basis.insert(mask(ids, constraint(X1)))
         basis.insert(mask(ids, constraint(X2)))
         # monomial-set symmetric difference of the two rows
@@ -83,14 +83,14 @@ class TestBasis:
                 monos ^= {X2}
             combos.add(frozenset(monos))
         assert frozenset({X12}) not in combos
-        ids, basis = MonomialInterner().ids, MaskBasis()
+        ids, basis = MonomialInterner(), MaskBasis()
         basis.insert(mask(ids, constraint(X1)))
         basis.insert(mask(ids, constraint(X2)))
         assert basis.insert(mask(ids, constraint(X12))) is True
 
     def test_reinsert_rejected(self):
         rng = random.Random(3)
-        ids, basis = MonomialInterner().ids, MaskBasis()
+        ids, basis = MonomialInterner(), MaskBasis()
         accepted = []
         universe = [mono((v, c)) for v in range(3) for c in range(2)]
         for _ in range(20):
@@ -108,8 +108,8 @@ class TestBasis:
         for _ in range(60):
             monos = rng.sample(universe, rng.randint(1, 5))
             seen.update(monos)
-            basis.insert(mask(interner.ids, constraint(*monos)))
-            assert len(interner.ids) == len(seen)
+            basis.insert(mask(interner, constraint(*monos)))
+            assert len(interner) == len(seen)
             assert basis.rank <= len(seen)
             assert basis.rank <= monomial_count_bound(8, 1)
 
@@ -118,8 +118,8 @@ class TestBasis:
         universe = [mono((v, c)) for v in range(4) for c in range(3)]
         interner, basis = MonomialInterner(), MaskBasis()
         for _ in range(40):
-            basis.insert(mask(interner.ids, constraint(*rng.sample(universe, rng.randint(1, 6)))))
-        keys = interner.keys_by_id()
+            basis.insert(mask(interner, constraint(*rng.sample(universe, rng.randint(1, 6)))))
+        keys = interner.keys_by_id
         rows = [decode(keys, row) for row in basis.rows()]
         assert len(rows) == basis.rank
         # distinct leading monomials under the interning order is what

@@ -1,5 +1,6 @@
 """Graph primitives, twin decomposition, twin covers, pattern analysis."""
 
+import gc
 import itertools
 import random
 
@@ -9,6 +10,8 @@ from hckernel.graphs import (
     CapacityError,
     Graph,
     PatternError,
+    PatternGraph,
+    _max_clique_size,
     is_twin_cover,
     min_twin_cover,
     pattern_analyze,
@@ -160,7 +163,7 @@ class TestTwinCover:
 class TestPatternAnalyze:
     def test_k3(self):
         p = pattern_analyze(triangle())
-        assert (p.max_degree, p.clique_number, p.is_bipartite) == (2, 3, False)
+        assert (p.max_degree, p.clique_number) == (2, 3)
 
     def test_c5(self):
         p = pattern_analyze(cycle(5))
@@ -177,6 +180,27 @@ class TestPatternAnalyze:
     def test_empty_rejected(self):
         with pytest.raises(PatternError):
             pattern_analyze(Graph.from_edges(0, []))
+
+    def test_type_checks_itself(self):
+        # the target type derives its parameters and refuses bad targets
+        # without going through pattern_analyze
+        with pytest.raises(PatternError, match="polynomial-time"):
+            PatternGraph(cycle(4))
+        with pytest.raises(PatternError, match="empty"):
+            PatternGraph(Graph.from_edges(0, []))
+
+    def test_clique_search_leaves_no_cycles(self):
+        # freed by reference counting alone, with the cyclic collector off
+        g = cycle(5)
+        gc.collect()
+        gc.disable()
+        try:
+            sizes = [_max_clique_size(g) for _ in range(10)]
+            sizes += [_max_clique_size(g, frozenset({0, 1, 2})) for _ in range(10)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert sizes == [2] * 20
 
     def test_omega_of_induced_subsets(self):
         p = pattern_analyze(triangle())

@@ -11,12 +11,15 @@ from hckernel.formats import parse_graph
 from hckernel.gf2 import MaskBasis, MonomialInterner, in_span
 from hckernel.graphs import (
     Graph,
+    PatternError,
+    PatternGraph,
     is_twin_cover,
     min_twin_cover,
     pattern_analyze,
     twin_decomposition,
 )
 from hckernel.kernelization import (
+    KernelStats,
     _SpanEngine,
     _TwinClasses,
     kernel_size_bound,
@@ -32,6 +35,7 @@ from helpers import (
     petersen_edges,
     random_graph,
     reference_kernelize,
+    replay,
     run_summary,
 )
 
@@ -151,7 +155,7 @@ def oracle_rule2(g, h, pi, p1, p2, rows=None) -> bool:
     target with the interner and basis built once per pair: a basis per
     target is too slow for the property test."""
     targets, gens = oracle_rows(g, h, pi, p1, p2, rows)
-    ids = MonomialInterner().ids
+    ids = MonomialInterner()
     basis = MaskBasis()
     for keys in gens:
         basis.insert(sum(1 << ids[key] for key in keys))
@@ -162,7 +166,7 @@ def oracle_rule2(g, h, pi, p1, p2, rows=None) -> bool:
 def span_engine_test(g, h, p1, p2):
     """Run one span test on a fresh engine; (answer, engine)."""
     pi = twin_decomposition(g)
-    engine = _SpanEngine(h)
+    engine = _SpanEngine(h, KernelStats())
     tc = _TwinClasses(g, pi, engine)
     return engine.span_test(tc, min(p1), min(p2)), engine
 
@@ -192,11 +196,11 @@ class TestSpanOracle:
         p1, p2 = frozenset({3}), frozenset({0})
         got, engine = span_engine_test(g, K3, p1, p2)
         assert not got
-        assert (engine.span_tests, engine.span_refuted) == (1, 1)
+        assert (engine.stats.span_tests, engine.stats.span_refuted) == (1, 1)
         # only the tested class's rows were built
         assert list(engine._rows) == [(1, (0, 1, 2))]
-        assert engine.max_basis_rank == 0
-        assert engine.rows_considered == 0   # every source has an empty family
+        assert engine.stats.max_basis_rank == 0
+        assert engine.stats.rows_considered == 0   # every source has an empty family
         targets, gens = oracle_rows(g, K3, pi, p1, p2)
         assert not all(in_span(t, gens) for t in targets)
 
@@ -208,7 +212,7 @@ class TestSpanOracle:
         p1, p2 = frozenset({1, 2, 3}), frozenset({0})
         got, engine = span_engine_test(g, K3, p1, p2)
         assert not got
-        assert (engine.span_tests, engine.span_refuted) == (1, 0)
+        assert (engine.stats.span_tests, engine.stats.span_refuted) == (1, 0)
         # the sources were built, since the test was not refuted
         assert len(engine._rows) == 4
         targets, gens = oracle_rows(g, K3, pi, p1, p2)
@@ -294,7 +298,10 @@ class TestKernelize:
         res = kernelize(g, K3, record_history=True)
         assert len(res.history) == 3
         assert all(step.rule == "rule3" for step in res.history)
-        ns = [step.graph.n for step in res.history]
+        assert [sorted(step.removed_vertices) for step in res.history] == \
+            [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        assert all(len(step.removed_edges) == 3 for step in res.history)
+        ns = [step.n for step in replay(g, res.history)]
         assert ns == [6, 3, 0]
         d = res.stats.to_dict()
         assert d["input"] == {"n": 9, "m": 9}
@@ -308,10 +315,10 @@ class TestKernelize:
             for h in (K3, K4):
                 res = kernelize(g, h, record_history=True)
                 sizes = [min_twin_cover(g).size]
-                for step in res.history:
+                for step, after in zip(res.history, replay(g, res.history)):
                     if step.rule == "rule1":
                         continue
-                    sizes.append(min_twin_cover(step.graph).size)
+                    sizes.append(min_twin_cover(after).size)
                 assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
 
     def test_size_bound_on_random_inputs(self):
@@ -326,9 +333,9 @@ class TestKernelize:
                 assert res.graph.n <= kernel_size_bound(k, h)
 
     def test_bipartite_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            kernelize(clique(3), pattern_analyze(clique(3)).__class__(
-                graph=cycle(4), max_degree=2, clique_number=2, is_bipartite=True))
+        # a target type that kernelize accepts cannot be bipartite
+        with pytest.raises(PatternError):
+            PatternGraph(cycle(4))
 
 
 class TestKernelSizeBound:
