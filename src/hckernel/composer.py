@@ -346,17 +346,27 @@ def list_to_plain(inst: ListColoringInstance) -> Graph:
     g = inst.graph
     base = (max(g.vertices) + 1) if g.n else 0
     palette = {1: base, 2: base + 1, 3: base + 2}
-    edges = list(g.edges())
-    edges += [(palette[1], palette[2]), (palette[1], palette[3]), (palette[2], palette[3])]
-    for v in g.vertices:
-        for color in COLORS:
-            if color not in inst.lists[v]:
-                edges.append((v, palette[color]))
+    vertices = tuple(range(base + 3))
+    # a vertex whose list holds every color keeps its own neighbour set,
+    # so the plain graph shares those sets with the list graph; ids below
+    # base that the list graph lacks become isolated vertices
+    adj: dict[int, frozenset[int]] = {}
+    wired: dict[int, list[int]] = {color: [] for color in COLORS}
+    for v in vertices[:base]:
+        if v not in g.adj:
+            adj[v] = frozenset()
+            continue
+        missing = [color for color in COLORS if color not in inst.lists[v]]
+        for color in missing:
+            wired[color].append(v)
+        adj[v] = g.adj[v].union([palette[c] for c in missing]) if missing else g.adj[v]
+    for color, pid in palette.items():
+        adj[pid] = frozenset(wired[color]).union(
+            [other for c, other in palette.items() if c != color])
     labels = {v: g.label_of(v) for v in g.vertices}
     for color, pid in palette.items():
         labels[pid] = f"C{color}"
-    n = base + 3
-    return Graph.from_edges(n, edges, labels)
+    return Graph(vertices, adj, labels)
 
 
 def generate_tsd_instance(m: int, n: int, density: float, seed: int) -> TriangleSplitInstance:

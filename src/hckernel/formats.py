@@ -107,14 +107,22 @@ def emit_graph(g: Graph, include_labels: bool = True) -> str:
     its original vertex names), they are emitted as comments.
     """
     index = {v: i + 1 for i, v in enumerate(g.vertices)}
-    lines = [f"p edge {g.n} {g.m}"]
+    # one chunk for all labels and one per vertex for its edges, so the
+    # text never exists as one small string per line
+    chunks = [f"p edge {g.n} {g.m}"]
     if include_labels and g.labels is not None:
-        for v in g.vertices:
-            if g.label_of(v) != str(index[v]):
-                lines.append(f"c label {index[v]} {g.label_of(v)}")
-    for u, v in sorted((index[u], index[v]) for u, v in g.edges()):
-        lines.append(f"e {u} {v}")
-    return "\n".join(lines) + "\n"
+        labels = "\n".join(f"c label {i} {g.label_of(v)}"
+                           for v, i in index.items() if g.label_of(v) != str(i))
+        if labels:
+            chunks.append(labels)
+    # vertices are increasing and so is their renumbering, so walking them
+    # in order emits the sorted renumbered edge list
+    for u in g.vertices:
+        later = sorted(index[v] for v in g.adj[u] if v > u)
+        if later:
+            i = index[u]
+            chunks.append("\n".join([f"e {i} {j}" for j in later]))
+    return "\n".join(chunks) + "\n"
 
 
 def _tsd_endpoint_error(m: int, n: int, u: int, v: int) -> str | None:

@@ -57,9 +57,11 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            nb[u].add(v)
-            nb[v].add(u)
-        return Graph(vs, {v: frozenset(nb[v]) for v in vs}, labels)
+            # store the ids of vs, not one int object per edge end
+            nb[u].add(vs[v])
+            nb[v].add(vs[u])
+        # freeze and drop each set in turn, so both forms never coexist
+        return Graph(vs, {v: frozenset(nb.pop(v)) for v in vs}, labels)
 
     @property
     def n(self) -> int:

@@ -13,6 +13,7 @@ the HCKERNEL_SOLVE_GUARD environment variable (an integer) or by passing
 from __future__ import annotations
 
 import os
+from itertools import chain, repeat
 from typing import Mapping
 
 from .graphs import CapacityError, Graph, PatternGraph
@@ -59,6 +60,46 @@ def _components(adj, left: set[int]) -> list[set[int]]:
     return out
 
 
+class _Codes(dict):
+    """One character per distinct list, handed out on first sight."""
+
+    def __missing__(self, key):
+        self[key] = code = chr(len(self))
+        return code
+
+
+class _ComponentCache:
+    """First solutions of residual components, keyed by state.
+
+    A key is the component's sorted vertex tuple, shared by every key with
+    that vertex set, and a string with one character per vertex coding its
+    list. A solution is a string with one character per vertex coding its
+    color's position in the palette; the empty string records that there
+    is none. So a stored state costs a few bytes per vertex, however many
+    states of one vertex set are stored.
+    """
+
+    def __init__(self, palette):
+        self.palette = tuple(palette)
+        self.position = {c: chr(i) for i, c in enumerate(self.palette)}
+        self.codes = _Codes()
+        self.vertex_sets: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.outcomes: dict = {}
+
+    def key(self, live, domains) -> tuple[tuple[int, ...], str]:
+        verts = tuple(sorted(live))
+        verts = self.vertex_sets.setdefault(verts, verts)
+        return verts, "".join(map(self.codes.__getitem__,
+                                  map(frozenset, map(domains.__getitem__, verts))))
+
+    def solved(self, key, assigned) -> None:
+        self.outcomes[key] = "".join(map(self.position.__getitem__,
+                                         map(assigned.__getitem__, key[0])))
+
+    def colors(self, solution: str):
+        return map(self.palette.__getitem__, map(ord, solution))
+
+
 def _search(adj, vertices, domains: dict[int, set[int]],
             bad: Mapping[int, tuple[int, ...]]) -> dict[int, int] | None:
     """Complete list-H-coloring search with forward checking.
@@ -79,6 +120,28 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     smallest first, so a failing sibling refutes its creator's choice
     sooner; each solved sibling keeps its own first solution, so the
     order never changes the witness.
+
+    Splitting is incremental: a decision's component was connected, so
+    every piece left after it touches a vertex the decision assigned. A
+    breadth-first search from one of those neighbours stops as soon as it
+    has met all the others; the piece it stopped in is then the rest of
+    the component, taken by one set difference instead of a walk. A search
+    that runs dry first has walked a whole piece, which is peeled off. The
+    pieces depend only on which vertices the decision assigned, so each
+    frame keeps them per such set for its later colors.
+
+    Components are cached. A component has no unassigned neighbour outside
+    itself, so its search depends only on its state: its vertex set and
+    the current lists of its vertices. The search is deterministic, so a
+    state always has the same first solution or none. Once some frame has
+    failed (before that, no state can come round again) every component
+    taken up is keyed by its sorted vertices and one character per list
+    (see _ComponentCache). A frame that runs out of colors records that
+    its state has no solution; a frame whose pending components are all
+    done records its vertices' colors. A component whose state is known to
+    fail refutes its creator's choice at once, and one known to succeed
+    takes its recorded colors without propagation: every neighbour outside
+    it is already assigned.
 
     The search is iterative, so its depth is not bounded by the
     interpreter's recursion limit. Each frame is one decision; each
@@ -128,10 +191,44 @@ def _search(adj, vertices, domains: dict[int, set[int]],
             else:
                 domains[v].add(c)
 
-    def split(vs) -> list[set[int]]:
-        """Components of the host induced on the unassigned vertices of vs."""
-        out = _components(adj, {u for u in vs if u not in assigned})
+    def split(live: set[int], mark: int, known: dict) -> list[set[int]]:
+        """Components of the host induced on the vertices of the connected
+        set ``live`` left unassigned by the assignments since ``mark``."""
+        left = live.difference(assigned)
+        if not left:
+            return []
+        newly = frozenset(v for v, c in trail[mark:] if c is None)
+        out = known.get(newly)
+        if out is not None:
+            return out
+        # every piece holds a seed, so once the seeds left lie in one piece
+        # that piece is everything not yet walked or peeled off
+        seeds = left.intersection(chain.from_iterable(map(adj.__getitem__, newly)))
+        out = []
+        while seeds:
+            s = seeds.pop()
+            if not seeds:
+                out.append(left)
+                break
+            left.remove(s)
+            comp = {s}
+            queue = [s]
+            for w in queue:
+                for u in adj[w]:
+                    if u in left:
+                        left.remove(u)
+                        comp.add(u)
+                        queue.append(u)
+                        seeds.discard(u)
+                if not seeds:
+                    break
+            if not seeds:
+                comp |= left
+                out.append(comp)
+                break
+            out.append(comp)
         out.sort(key=len)
+        known[newly] = out
         return out
 
     forced = [(v, next(iter(domains[v])))
@@ -139,17 +236,44 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     if not propagate(forced):
         return None
     # pending components, smallest on top
-    todo = [(comp, -1) for comp in reversed(split(vertices))]
+    top = _components(adj, {v for v in vertices if v not in assigned})
+    todo = [(comp, -1) for comp in reversed(sorted(top, key=len))]
     # frame: [component, vertex, colors, next color index, trail mark,
-    #         creator frame, len(todo) when the frame was opened]
+    #         creator frame, len(todo) when the frame was opened, cache key,
+    #         pieces of the component per set of vertices a color assigned]
     frames: list[list] = []
+    # open frames with a cache key, bottom first; their bases never decrease
+    keyed: list[int] = []
+    cache: _ComponentCache | None = None
     while todo:
+        # a keyed frame whose pending components are all done is solved
+        while keyed and frames[keyed[-1]][6] >= len(todo):
+            cache.solved(frames[keyed.pop()][7], assigned)
         live, creator = todo.pop()
-        v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
-        frames.append([live, v, sorted(domains[v]), 0, len(trail), creator, len(todo)])
+        key = hit = None
+        if cache is not None:
+            key = cache.key(live, domains)
+            # None: state not met yet; "": no solution; else its colors
+            hit = cache.outcomes.get(key)
+            if hit:
+                # a known first solution; every neighbour outside the
+                # component is assigned, so nothing needs propagating
+                verts = key[0]
+                assigned.update(zip(verts, cache.colors(hit)))
+                trail.extend(zip(verts, repeat(None)))
+                continue
+        if hit is None:
+            v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
+            colors = sorted(domains[v])
+        else:
+            # a known failure: a frame without colors fails at once
+            v, colors = None, ()
+        frames.append([live, v, colors, 0, len(trail), creator, len(todo), key, {}])
         f = len(frames) - 1
+        if key is not None:
+            keyed.append(f)
         while True:
-            live, v, colors, i, mark, creator, base = frames[f]
+            live, v, colors, i, mark, creator, base, key, known = frames[f]
             # a resumed frame drops its previous choice and what it split off
             undo(mark)
             del todo[base:]
@@ -158,12 +282,19 @@ def _search(adj, vertices, domains: dict[int, set[int]],
                 i += 1
             if i < len(colors):
                 break
-            if creator < 0:
-                return None
-            del frames[creator + 1:]
+            # the frame failed; undo(mark) restored the state it started from
+            if key is not None:
+                cache.outcomes[key] = ""
+            elif cache is None:
+                cache = _ComponentCache(bad)
             f = creator
+            if f < 0:
+                return None
+            del frames[f + 1:]
+            while keyed and keyed[-1] > f:
+                keyed.pop()
         frames[f][3] = i + 1
-        todo.extend((sub, f) for sub in reversed(split(live)))
+        todo.extend((sub, f) for sub in reversed(split(live, mark, known)))
     return dict(assigned)
 
 

@@ -144,6 +144,41 @@ def petersen_edges() -> list[tuple[int, int]]:
     return edges
 
 
+def reference_emit_graph(g: Graph, include_labels: bool = True) -> str:
+    """The sort-then-join emitter ``hckernel.formats.emit_graph`` replaced:
+    one string per line and a sorted list of renumbered edge tuples. The
+    library's emitter must return the same text."""
+    index = {v: i + 1 for i, v in enumerate(g.vertices)}
+    lines = [f"p edge {g.n} {g.m}"]
+    if include_labels and g.labels is not None:
+        for v in g.vertices:
+            if g.label_of(v) != str(index[v]):
+                lines.append(f"c label {index[v]} {g.label_of(v)}")
+    for u, v in sorted((index[u], index[v]) for u, v in g.edges()):
+        lines.append(f"e {u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_list_to_plain(inst) -> Graph:
+    """``hckernel.composer.list_to_plain`` built from one edge list: the
+    list graph's edges, the palette triangle on the three ids after the
+    largest, and an edge from each vertex to every palette color missing
+    from its list."""
+    g = inst.graph
+    base = (max(g.vertices) + 1) if g.n else 0
+    palette = {1: base, 2: base + 1, 3: base + 2}
+    edges = list(g.edges())
+    edges += [(palette[1], palette[2]), (palette[1], palette[3]), (palette[2], palette[3])]
+    for v in g.vertices:
+        for color in (1, 2, 3):
+            if color not in inst.lists[v]:
+                edges.append((v, palette[color]))
+    labels = {v: g.label_of(v) for v in g.vertices}
+    for color, pid in palette.items():
+        labels[pid] = f"C{color}"
+    return Graph.from_edges(base + 3, edges, labels)
+
+
 # -- reference list-coloring search ---------------------------------------
 #
 # The recursive list-coloring search that ``hckernel.oracle._search``

@@ -324,12 +324,11 @@ def test_criterion_6_blocking_gadget():
 
 @pytest.mark.slow
 def test_criterion_7_composition_or_equivalence():
-    # all four truth patterns at t=4, n=1 with single-vertex independent
-    # sides, plus three measured m=2 bundles. Full m=2 and t=16 coverage
-    # still does not fit the budget: the plain solve of an "m2 all" bundle
-    # and the list solve of a t=16 "one" bundle each take over 400 s,
-    # because satisfiable searches can wander through wrong selector
-    # sectors whose refutations are slow
+    # all four truth patterns at t=4, n=1, with one-vertex and with
+    # two-vertex independent sides. t=16 coverage still does not fit the
+    # budget: the list solve of a t=16 "one" bundle takes about 180 s even
+    # with the component cache, because a satisfiable search can wander
+    # through wrong selector sectors whose refutations are slow
     start = time.perf_counter()
     bundles = {
         "none": [UNCOLORABLE_INPUT] * 4,
@@ -340,6 +339,7 @@ def test_criterion_7_composition_or_equivalence():
         "m2 none": [UNCOLORABLE_2] * 4,
         "m2 one": [COLORABLE_2A] + [UNCOLORABLE_2] * 3,
         "m2 two": [UNCOLORABLE_2, COLORABLE_2A, UNCOLORABLE_2, COLORABLE_2B],
+        "m2 all": [COLORABLE_2A, COLORABLE_2B] * 2,
     }
     outcomes = []
     for name, bundle in bundles.items():

@@ -23,7 +23,7 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph
+from helpers import random_graph, reference_list_to_plain
 
 COLORABLE = TriangleSplitInstance(1, 1, frozenset())
 UNCOLORABLE = TriangleSplitInstance(1, 1, frozenset({(0, 0), (0, 1), (0, 2)}))
@@ -126,6 +126,19 @@ class TestListToPlain:
             Graph.from_edges(2, [(0, 1)]),
             {0: frozenset({1}), 1: frozenset({1})})
         assert find_3_coloring(list_to_plain(inst)) is None
+
+    def test_matches_edge_list_construction(self):
+        # gapped ids (kernels keep theirs) become isolated plain vertices
+        rng = random.Random(62)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 12), rng.choice([0.2, 0.4, 0.7]), rng)
+            g = g.without_vertices(v for v in g.vertices if rng.random() < 0.25)
+            lists = {v: frozenset(rng.sample([1, 2, 3], rng.randint(1, 3)))
+                     for v in g.vertices}
+            inst = ListColoringInstance(g, lists)
+            got, want = list_to_plain(inst), reference_list_to_plain(inst)
+            assert got == want
+            assert got.labels == want.labels
 
     def test_equivalence_on_random_instances(self):
         rng = random.Random(61)

@@ -17,7 +17,7 @@ from hckernel.formats import (
 )
 from hckernel.graphs import Graph, PatternError
 
-from helpers import petersen_edges, random_graph
+from helpers import petersen_edges, random_graph, reference_emit_graph
 
 
 class TestParseGraph:
@@ -90,6 +90,19 @@ class TestEmitGraph:
         back = parse_graph(text)
         assert back.n == g.n and back.m == g.m
         assert emit_graph(back, include_labels=False) == emit_graph(g, include_labels=False)
+
+    def test_matches_sort_then_join_emitter(self):
+        # gapped ids renumber to 1..n; some vertices keep their own name as
+        # label, some carry another, some have none
+        rng = random.Random(72)
+        for _ in range(200):
+            g = random_graph(rng.randint(0, 14), rng.choice([0.1, 0.3, 0.6]), rng)
+            labels = {v: rng.choice([str(v), str(v + 1), f"x{v}"])
+                      for v in g.vertices if rng.random() < 0.7}
+            g = Graph(g.vertices, g.adj, labels or None)
+            g = g.without_vertices(v for v in g.vertices if rng.random() < 0.3)
+            for include in (True, False):
+                assert emit_graph(g, include) == reference_emit_graph(g, include)
 
 
 class TestTsdFormat:

@@ -291,6 +291,102 @@ class TestListHColoring:
                     assert verify_h_coloring(g, h, got)
 
 
+class TestComponentCache:
+    """Hosts whose residual components come round again in the same state,
+    so that the search's component cache answers for them: witnesses must
+    still equal those of the uncached reference search.
+
+    A composed instance is a grid of blocking gadgets joined through the
+    selector vertices; each of these gives the cache tens to hundreds of
+    hits of both kinds. The plain forms are solved only where the
+    uncached reference takes well under a second; on the others it takes
+    minutes.
+    """
+
+    @pytest.mark.parametrize("crosses, plain_too", [
+        ([()], True),
+        ([((0, 0),)], False),
+        ([((0, 1),)], True),
+        ([((0, 2),)], True),
+        ([((0, 0), (0, 1))], False),
+        ([((0, 0), (0, 2))], False),
+        ([((0, 1), (0, 2))], True),
+        ([((0, 0), (0, 1), (0, 2))], True),
+        ([(), ((0, 1),)], True),
+        ([((0, 1),), ((0, 2),)], True),
+        ([((0, 2),), ((0, 0), (0, 1))], True),
+        ([((0, 1), (0, 2)), ((0, 0),)], True),
+        ([((0, 1), (0, 2)), ((0, 0), (0, 2))], True),
+        ([((0, 1),), ((0, 0), (0, 1), (0, 2))], True),
+        ([((0, 0),), ((0, 1),)], False),
+        ([((0, 0), (0, 1)), ((0, 2),)], False),
+    ])
+    def test_composed_grids_match_reference(self, crosses, plain_too):
+        inst, _layout = compose([TriangleSplitInstance(1, 1, frozenset(c))
+                                 for c in crosses])
+        TestMatchesReferenceSearch._assert_same_list(inst)
+        if plain_too:
+            TestMatchesReferenceSearch._assert_same_plain(list_to_plain(inst))
+
+    @staticmethod
+    def _hub_with_trap(paths: int) -> ListColoringInstance:
+        """A hub with list {1, 2}, pendant paths, and a trap that only
+        hub color 2 lets through, after a smaller copy that fails once so
+        the cache is on before the hub's first choice.
+
+        Color 1 solves every path and then fails in the trap, so color 2
+        meets the same paths again with other lists, and the trap too.
+        """
+        edges, lists = [], {}
+
+        def hub(x, pendants):
+            t, a, b = x + 1, x + 2, x + 3
+            lists.update({x: {1, 2}, t: {1, 2, 3}, a: {2, 3}, b: {2, 3}})
+            edges.extend([(x, t), (t, a), (t, b), (a, b)])
+            for i in range(pendants):
+                p, q = x + 4 + 2 * i, x + 5 + 2 * i
+                lists.update({p: {1, 2, 3}, q: {1, 2, 3}})
+                edges.extend([(x, p), (p, q)])
+            return x + 4 + 2 * pendants
+
+        n = hub(hub(0, 2), paths)
+        return ListColoringInstance(Graph.from_edges(n, edges),
+                                    {v: frozenset(c) for v, c in lists.items()})
+
+    @pytest.mark.parametrize("paths", [3, 4, 6])
+    def test_same_vertices_with_other_lists(self, paths):
+        inst = self._hub_with_trap(paths)
+        got = TestMatchesReferenceSearch._assert_same_list(inst)
+        assert got is not None and got[0] == got[8] == 2
+        TestMatchesReferenceSearch._assert_same_plain(list_to_plain(inst))
+
+    def test_random_list_instances(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            g = random_graph(rng.randint(6, 14), rng.choice([0.15, 0.25, 0.35, 0.5]), rng)
+            lists = {v: frozenset(rng.sample([1, 2, 3], rng.choice([2, 2, 3])))
+                     for v in g.vertices}
+            TestMatchesReferenceSearch._assert_same_list(ListColoringInstance(g, lists))
+            TestMatchesReferenceSearch._assert_same_plain(g)
+
+    @pytest.mark.parametrize("h", [K4, C5, PETERSEN], ids=["K4", "C5", "petersen"])
+    def test_list_h_answers_match_brute_force(self, h):
+        rng = random.Random(60)
+        colors = h.color_ids
+        hadj = h.graph.adj
+        bad = {c: tuple(x for x in colors if x not in hadj[c]) for c in colors}
+        for _ in range(150):
+            g = random_graph(rng.randint(5, 10), rng.choice([0.2, 0.3, 0.45]), rng)
+            lists = {v: frozenset(rng.sample(colors, rng.choice([2, 2, 3])))
+                     for v in g.vertices}
+            brute = next(brute_list_h_colorings(g, h.graph, lists), None)
+            got = _search(g.adj, g.vertices, {v: set(lists[v]) for v in g.vertices}, bad)
+            assert (got is not None) == (brute is not None)
+            if got is not None:
+                assert all(got[v] in lists[v] for v in g.vertices)
+                assert verify_h_coloring(g, h, got)
+
+
 class TestDeepHosts:
     """The search is iterative: deep hosts need no recursion-limit raise."""
 
