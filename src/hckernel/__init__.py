@@ -45,9 +45,6 @@ from .kernelization import (
     KernelStats,
     kernel_size_bound,
     kernelize,
-    rule1_trivial_no,
-    rule2_try_remove_edges,
-    rule3_remove_isolated_clique,
 )
 from .oracle import (
     find_2_3_coloring,

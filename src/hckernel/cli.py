@@ -146,7 +146,7 @@ def _cmd_verify_gadget(args) -> int:
     failures = []
     for target in itertools.product((1, 2, 3), repeat=m):
         gadget = composer.build_blocking_gadget(target)
-        if gadget.size > 6 * m + 2:
+        if gadget.size > 6 * m + 1:
             failures.append(f"target {target}: gadget too large ({gadget.size})")
         ok_here = 0
         for ports in itertools.product((1, 2, 3), repeat=m):

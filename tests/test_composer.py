@@ -94,7 +94,7 @@ class TestBlockingGadget:
     def test_size_bound(self):
         for m in (1, 2, 3, 4):
             for target in itertools.product((1, 2, 3), repeat=m):
-                assert build_blocking_gadget(target).size <= 6 * m + 2
+                assert build_blocking_gadget(target).size <= 6 * m + 1
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_contract_exhaustive(self, m):

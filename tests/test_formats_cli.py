@@ -89,7 +89,9 @@ class TestEmitGraph:
         assert "c label 1 2" in text
         back = parse_graph(text)
         assert back.n == g.n and back.m == g.m
-        assert emit_graph(back, include_labels=False) == emit_graph(g, include_labels=False)
+        # the same edges, on the ids renumbered 0..n-1
+        index = {v: i for i, v in enumerate(g.vertices)}
+        assert set(back.edges()) == {(index[u], index[v]) for u, v in g.edges()}
 
     def test_matches_sort_then_join_emitter(self):
         # gapped ids renumber to 1..n; some vertices keep their own name as
@@ -101,8 +103,7 @@ class TestEmitGraph:
                       for v in g.vertices if rng.random() < 0.7}
             g = Graph(g.vertices, g.adj, labels or None)
             g = g.without_vertices(v for v in g.vertices if rng.random() < 0.3)
-            for include in (True, False):
-                assert emit_graph(g, include) == reference_emit_graph(g, include)
+            assert emit_graph(g) == reference_emit_graph(g)
 
 
 class TestTsdFormat:

@@ -49,6 +49,11 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(2, [(0, 0)])
 
+    @pytest.mark.parametrize("edge", [(0, 3), (0, -1)])
+    def test_rejects_out_of_range_endpoint(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\).*0\.\.2"):
+            Graph.from_edges(3, [(0, 1), edge])
+
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError, match="asymmetric"):
             Graph((0, 1), {0: frozenset({1}), 1: frozenset()})

@@ -19,14 +19,12 @@ from hckernel.graphs import (
     twin_decomposition,
 )
 from hckernel.kernelization import (
+    AppliedRule,
     KernelStats,
     _SpanEngine,
     _TwinClasses,
     kernel_size_bound,
     kernelize,
-    rule1_trivial_no,
-    rule2_try_remove_edges,
-    rule3_remove_isolated_clique,
 )
 
 from helpers import (
@@ -65,31 +63,53 @@ PATTERNS = {"K3": K3, "K4": K4, "C5": C5}
 
 class TestRule1:
     def test_k4_vs_k3(self):
-        g = clique(4)
-        assert rule1_trivial_no(g, K3, twin_decomposition(g))
+        res = kernelize(clique(4), K3, record_history=True)
+        assert res.trivial_no and res.graph is None
+        assert res.history == (AppliedRule("rule1", frozenset(range(4))),)
 
     def test_k3_vs_k3(self):
-        g = clique(3)
-        assert not rule1_trivial_no(g, K3, twin_decomposition(g))
+        res = kernelize(clique(3), K3)
+        assert not res.trivial_no and res.stats.rule1 == 0
 
     def test_c5_vs_c5(self):
         g = cycle(5)
-        pi = twin_decomposition(g)
-        assert all(len(cls) == 1 for cls in pi.classes)
-        assert not rule1_trivial_no(g, C5, pi)
+        assert all(len(cls) == 1 for cls in twin_decomposition(g).classes)
+        res = kernelize(g, C5)
+        assert not res.trivial_no and res.stats.rule1 == 0
+
+
+def span_engine_test(g, h, p1, p2):
+    """Run one span test on a fresh engine; (answer, engine)."""
+    pi = twin_decomposition(g)
+    engine = _SpanEngine(h, KernelStats())
+    tc = _TwinClasses(g, pi, engine)
+    return engine.span_test(tc, min(p1), min(p2)), engine
+
+
+def joined_pairs(g):
+    """Ordered pairs of distinct twin classes of g joined by an edge."""
+    pi = twin_decomposition(g)
+    return [(p1, p2) for p1 in pi.classes for p2 in pi.classes
+            if p1 != p2 and g.edges_between(p1, p2)]
 
 
 class TestRule2:
     def test_requires_distinct_classes(self):
-        g = clique(3)
-        pi = twin_decomposition(g)
-        with pytest.raises(ValueError):
-            rule2_try_remove_edges(g, K3, pi, pi.classes[0], pi.classes[0])
+        # the driver tests each ordered pair of distinct joined classes
+        rng = random.Random(40)
+        for _ in range(30):
+            g = random_graph(rng.randint(2, 9), rng.choice([0.3, 0.6, 0.9]), rng)
+            tc = _TwinClasses(g, twin_decomposition(g), _SpanEngine(K3, KernelStats()))
+            got = list(tc.pairs())
+            assert len(got) == len(set(got))
+            assert set(got) == {(min(p1), min(p2)) for p1, p2 in joined_pairs(g)}
 
     def test_no_edges_between_pair_is_inadmissible(self):
         g = disjoint(clique(2), clique(2))
-        pi = twin_decomposition(g)
-        assert rule2_try_remove_edges(g, K3, pi, pi.classes[0], pi.classes[1]) is None
+        tc = _TwinClasses(g, twin_decomposition(g), _SpanEngine(K3, KernelStats()))
+        assert list(tc.pairs()) == []
+        res = kernelize(g, K3)
+        assert res.stats.span_tests == 0 and res.stats.rule3 == 2
 
     def test_single_edge_has_no_candidate_pair(self):
         # both endpoints are twins, so the decomposition has one class and
@@ -101,27 +121,21 @@ class TestRule2:
         assert res.stats.span_tests == 0 and res.graph.n == 0
 
     def test_result_preserves_colorability_when_applied(self):
-        # two twin classes joined completely, kept distinct by a pendant
-        # vertex; whether the rule fires is decided by the span test, and
-        # any fired result must preserve colorability (checked by oracle)
+        # whether the rule fires is decided by the span test, and deleting
+        # the edges of any pair it passes must preserve colorability
+        # (checked by brute force)
         rng = random.Random(41)
         fired = 0
         for _ in range(60):
             g = random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6, 0.8]), rng)
-            pi = twin_decomposition(g)
             for h in (K3, C5):
-                for p1 in pi.classes:
-                    for p2 in pi.classes:
-                        if p1 == p2 or not g.edges_between(p1, p2):
-                            continue
-                        got = rule2_try_remove_edges(g, h, pi, p1, p2)
-                        if got is None:
-                            continue
-                        fired += 1
-                        assert got.is_subgraph_of(g)
-                        assert got.n == g.n and got.m < g.m
-                        assert brute_h_colorable(g, h.graph) == \
-                            brute_h_colorable(got, h.graph)
+                for p1, p2 in joined_pairs(g):
+                    if not span_engine_test(g, h, p1, p2)[0]:
+                        continue
+                    fired += 1
+                    got = g.without_edges(g.edges_between(p1, p2))
+                    assert brute_h_colorable(g, h.graph) == \
+                        brute_h_colorable(got, h.graph)
         assert fired > 0
 
 
@@ -163,14 +177,6 @@ def oracle_rule2(g, h, pi, p1, p2, rows=None) -> bool:
     return all(basis.contains(sum(1 << ids[key] for key in keys)) for keys in targets)
 
 
-def span_engine_test(g, h, p1, p2):
-    """Run one span test on a fresh engine; (answer, engine)."""
-    pi = twin_decomposition(g)
-    engine = _SpanEngine(h, KernelStats())
-    tc = _TwinClasses(g, pi, engine)
-    return engine.span_test(tc, min(p1), min(p2)), engine
-
-
 class TestSpanOracle:
     """The mask engine's rule 2 answer against rows taken straight from the
     generator and eliminated on their own interner and basis, which share
@@ -182,11 +188,9 @@ class TestSpanOracle:
         h = PATTERNS[name]
         pi = twin_decomposition(g)
         rows = {cls: class_key_rows(g, h, cls) for cls in pi.classes}
-        for p1 in pi.classes:
-            for p2 in pi.classes:
-                if p1 != p2 and g.edges_between(p1, p2):
-                    assert (rule2_try_remove_edges(g, h, pi, p1, p2) is not None) == \
-                        oracle_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
+        for p1, p2 in joined_pairs(g):
+            assert span_engine_test(g, h, p1, p2)[0] == \
+                oracle_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
 
     def test_refuted_from_neighborhoods(self):
         # star: the row of the centre has the monomial on leaves {0, 1},
@@ -230,22 +234,23 @@ class TestSpanOracle:
 
 class TestRule3:
     def test_removes_isolated_triangle(self):
-        g = disjoint(clique(3), cycle(5))
-        pi = twin_decomposition(g)
-        got = rule3_remove_isolated_clique(g, K3, pi)
-        assert got is not None and got.n == 5
+        res = kernelize(disjoint(clique(3), cycle(5)), K3, record_history=True)
+        triangle = frozenset({0, 1, 2})
+        assert res.history[0] == AppliedRule(
+            "rule3", triangle, removed_vertices=triangle,
+            removed_edges=frozenset({(0, 1), (0, 2), (1, 2)}))
 
     def test_oversized_isolated_clique_left_for_rule1(self):
-        g = disjoint(clique(4), cycle(5))
-        pi = twin_decomposition(g)
-        assert rule3_remove_isolated_clique(g, K3, pi) is None
-        assert rule1_trivial_no(g, K3, pi)
+        res = kernelize(disjoint(clique(4), cycle(5)), K3, record_history=True)
+        assert res.trivial_no and res.stats.rule3 == 0
+        assert [step.rule for step in res.history] == ["rule1"]
 
     def test_removes_isolated_vertex(self):
         g = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)])
-        pi = twin_decomposition(g)
-        got = rule3_remove_isolated_clique(g, K3, pi)
-        assert got is not None and set(got.vertices) == set(range(5))
+        res = kernelize(g, K3, record_history=True)
+        assert res.history[0] == AppliedRule(
+            "rule3", frozenset({5}), removed_vertices=frozenset({5}))
+        assert 5 not in res.graph.vertices
 
 
 class TestKernelize:
