@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Graph
 from .oracle import _K3_BAD, _search
@@ -96,17 +96,6 @@ class BlockingGadget:
         return self.instance.graph.n
 
 
-class GadgetRecord(NamedTuple):
-    """Placement of one gadget inside a composed instance."""
-
-    step: int
-    key: tuple
-    target: tuple[int, ...]
-    ports: tuple[int, ...]
-    attached_to: tuple[int, ...]
-    vertex_count: int
-
-
 @dataclass
 class CompositionLayout:
     """Index maps and accounting for one composed instance."""
@@ -120,15 +109,13 @@ class CompositionLayout:
     t_ids: dict[tuple[int, int], int]        # (j, k) -> vertex
     a_ids: dict[int, int]
     b_ids: dict[int, int]
-    gadgets: tuple[GadgetRecord, ...]
+    gadget_counts: dict[int, int]      # step (5..8) -> gadgets placed
+    gadget_vertices: dict[int, int]    # step (5..8) -> their vertices
     total_vertices: int
     total_edges: int
-    palette_ids: tuple[int, int, int] | None = None
 
     def vertex_terms(self) -> dict[str, int]:
-        by_step = {5: 0, 6: 0, 7: 0, 8: 0}
-        for rec in self.gadgets:
-            by_step[rec.step] += rec.vertex_count
+        by_step = self.gadget_vertices
         return {
             "s_block": self.q * 3 * self.n * self.m,
             "t_block": self.q * 3 * self.n,
@@ -140,9 +127,6 @@ class CompositionLayout:
 
     def manifest(self) -> dict:
         terms = self.vertex_terms()
-        counts = {5: 0, 6: 0, 7: 0, 8: 0}
-        for rec in self.gadgets:
-            counts[rec.step] += 1
         return {
             "version": 1,
             "t_given": self.t_given,
@@ -152,7 +136,7 @@ class CompositionLayout:
             "n": self.n,
             "vertex_terms": terms,
             "sqrt_t_proportional_terms": sorted(terms),
-            "gadget_counts": {f"step{s}": c for s, c in counts.items()},
+            "gadget_counts": {f"step{s}": c for s, c in self.gadget_counts.items()},
             "list_vertices": self.total_vertices,
             "list_edges": self.total_edges,
             "plain_vertices": self.total_vertices + 3,
@@ -296,7 +280,8 @@ def compose(inputs: Sequence[TriangleSplitInstance]) -> tuple[ListColoringInstan
     a_ids = {i: b.add_vertex({1, 2}, f"a[{i}]") for i in range(1, q + 1)}
     b_ids = {j: b.add_vertex({1, 2}, f"b[{j}]") for j in range(1, q + 1)}
 
-    gadgets: list[GadgetRecord] = []
+    counts = dict.fromkeys((5, 6, 7, 8), 0)
+    vertices = dict(counts)
 
     def place(step: int, key: tuple, target: tuple[int, ...], attach: tuple[int, ...]) -> None:
         gadget = build_blocking_gadget(target)
@@ -304,7 +289,8 @@ def compose(inputs: Sequence[TriangleSplitInstance]) -> tuple[ListColoringInstan
         ports = b.graft(gadget, name)
         for port, outside in zip(ports, attach):
             b.add_edge(port, outside)
-        gadgets.append(GadgetRecord(step, key, target, ports, attach, gadget.size))
+        counts[step] += 1
+        vertices[step] += gadget.size
 
     # steps 5 and 6: forbid the all-2 coloring of each selector row
     place(5, (), (2,) * q, tuple(a_ids[i] for i in range(1, q + 1)))
@@ -330,7 +316,7 @@ def compose(inputs: Sequence[TriangleSplitInstance]) -> tuple[ListColoringInstan
     layout = CompositionLayout(
         t_given=len(inputs), t_padded=len(padded), q=q, m=m, n=n,
         s_ids=s_ids, t_ids=t_ids, a_ids=a_ids, b_ids=b_ids,
-        gadgets=tuple(gadgets),
+        gadget_counts=counts, gadget_vertices=vertices,
         total_vertices=instance.graph.n, total_edges=instance.graph.m,
     )
     return instance, layout

@@ -3,11 +3,15 @@
 Graph grammar (one directive per line, blank lines ignored):
 
     c <free text>          comment (the first token is exactly "c")
+    c label <i> <name>     vertex i is named <name>, the rest of the line
     p edge <n> <m>         header, exactly once, before any edge
     e <u> <v>              edge with 1-based endpoints in 1..n
 
-Duplicate edge lines collapse; self-loops are rejected. The declared edge
-count is advisory (duplicates may make it disagree) and is not enforced.
+A comment is a label when its second token is "label" and its third an
+integer; the id must lie in 1..n and be labelled at most once. A vertex
+without a label is named by its id. Duplicate edge lines collapse;
+self-loops are rejected. The declared edge count is advisory (duplicates
+may make it disagree) and is not enforced.
 Triangle-split instances use the same shape with a ``p tsd <m> <n>``
 header and cross edges ``e <u> <v>`` where u indexes the independent side
 (1..m) and v the triangle side (1..3n).
@@ -30,16 +34,28 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _directive_lines(text: str):
+def _directive_lines(text: str, labels: dict[int, tuple[int, str]] | None):
+    """(line number, tokens) per directive line; with ``labels``, label
+    comments go into it as i -> (line number, name)."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0] == "c":
+        if not parts:
             continue
-        yield line_no, parts
+        if parts[0] != "c":
+            yield line_no, parts
+        elif labels is not None and len(parts) > 2 and parts[1] == "label":
+            try:
+                i = int(parts[2])
+            except ValueError:
+                continue   # free text
+            if i in labels:
+                raise ParseError(line_no, f"vertex {i} labelled twice")
+            labels[i] = (line_no, "".join(raw.split(None, 3)[3:]).rstrip())
 
 
 def _parse_edge_list(text: str, kind: str, sizes: str,
-                     endpoint_error: Callable[[int, int, int, int], str | None]
+                     endpoint_error: Callable[[int, int, int, int], str | None],
+                     labels: dict[int, tuple[int, str]] | None = None
                      ) -> tuple[int, int, set[tuple[int, int]]]:
     """The two header sizes and the distinct 1-based edges of a file with
     a ``p <kind> <sizes>`` header and ``e <u> <v>`` lines.
@@ -49,7 +65,7 @@ def _parse_edge_list(text: str, kind: str, sizes: str,
     """
     dims = None
     edges: set[tuple[int, int]] = set()
-    for line_no, parts in _directive_lines(text):
+    for line_no, parts in _directive_lines(text, labels):
         if parts[0] == "p":
             if dims is not None:
                 raise ParseError(line_no, "duplicate problem header")
@@ -92,11 +108,16 @@ def _graph_endpoint_error(n: int, _m: int, u: int, v: int) -> str | None:
 def parse_graph(text: str) -> Graph:
     """Parse the DIMACS-style edge format into a graph.
 
-    Vertex ids become dense 0-based integers; the original 1-based names
-    are kept as labels.
+    Vertex ids become dense 0-based integers; a vertex's label is its name
+    from a ``c label`` comment, else its 1-based id.
     """
-    n, _m, edges = _parse_edge_list(text, "edge", "<n> <m>", _graph_endpoint_error)
+    named: dict[int, tuple[int, str]] = {}
+    n, _m, edges = _parse_edge_list(text, "edge", "<n> <m>", _graph_endpoint_error, named)
     labels = {v: str(v + 1) for v in range(n)}
+    for i, (line_no, name) in named.items():
+        if not 1 <= i <= n:
+            raise ParseError(line_no, f"label id out of range 1..{n}")
+        labels[i - 1] = name
     return Graph.from_edges(n, [(u - 1, v - 1) for u, v in edges], labels)
 
 

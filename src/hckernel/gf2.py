@@ -74,19 +74,14 @@ class MonomialInterner(dict):
     order. Any fixed monomial order yields the same spans and ranks;
     first-seen order makes the leading term a plain ``bit_length`` call on
     the row bitmask. Only a miss runs Python code, so ``interner[key]``
-    costs one dict lookup for a key seen before. ``keys_by_id`` lists the
-    interned keys by index and grows as keys are interned.
+    costs one dict lookup for a key seen before. A dict keeps insertion
+    order, so iterating the interner lists the keys by index.
     """
 
-    __slots__ = ("keys_by_id",)
-
-    def __init__(self):
-        super().__init__()
-        self.keys_by_id: list[tuple] = []
+    __slots__ = ()
 
     def __missing__(self, key: tuple) -> int:
         idx = self[key] = len(self)
-        self.keys_by_id.append(key)
         return idx
 
 

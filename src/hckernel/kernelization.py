@@ -33,10 +33,11 @@ scratch after every application. Only the work per application is less:
   isolated classes of a pass go at once, in order of smallest member, each
   counted as the pass it would take on its own;
 * a rule 2 test that fails is usually refuted from the neighborhoods
-  alone, before any source row is built or eliminated: a monomial of the
-  tested class that mentions a vertex of p2 and lies in no other class's
-  neighborhood can come from no source row (see ``_SpanEngine``). A
-  refuted test counts the rows the full test would have considered.
+  alone, before any row is built: a monomial of the tested class that
+  mentions a vertex of p2 and lies in no other class's neighborhood can
+  come from no source row, and the neighborhood's size fixes the vertex
+  sets (see ``_SpanEngine``). A refuted test counts the rows the full
+  test would have considered.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ import math
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Iterator, Mapping
 
 from .constraints import color_sequences, iter_class_constraint_keys
@@ -228,16 +227,6 @@ class _TwinClasses:
                 yield a1, a2
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of a mask, found in its binary string."""
-    digits = format(mask, "b")
-    top = len(digits) - 1
-    i = digits.find("1")
-    while i >= 0:
-        yield top - i
-        i = digits.find("1", i + 1)
-
-
 class _SpanEngine:
     """Shared interner plus per-neighborhood row cache for rule 2 tests.
 
@@ -246,15 +235,17 @@ class _SpanEngine:
     bitmasks. Class sizes above omega(H)+1 behave identically because
     omega(H[Y]) < size is then always true.
 
-    Most failing tests are refuted before any source row is built. Every
-    row mentions only variables of vertices in its own class's
-    neighborhood. After E(p1, p2) is deleted, a vertex of p2 lies in
-    neither N(p1) - p2 nor N(p2) - p1, so a monomial of p1's rows whose
-    vertex set T meets p2 occurs in a source row only if T lies in N(c)
-    for some class c other than p1 and p2. When no such c exists, no sum
-    of source rows has that monomial, while the target row that holds it
-    has it with coefficient 1: the test fails. The vertex sets of a row
-    family are collected once, the first time it is a target.
+    Most failing tests are refuted before any row is built. Every row
+    mentions only variables of vertices in its own class's neighborhood.
+    After E(p1, p2) is deleted, a vertex of p2 lies in neither N(p1) - p2
+    nor N(p2) - p1, so a monomial of p1's rows whose vertex set T meets p2
+    occurs in a source row only if T lies in N(c) for some class c other
+    than p1 and p2. When no such c exists, no sum of source rows has that
+    monomial, while the target row that holds it has it with coefficient
+    1: the test fails. The vertex sets follow from the shape of the rows
+    (``_monomial_size``): every k-subset of N(p1) for the largest size k,
+    and subsets of those. A superset of an uncovered set that meets p2 is
+    uncovered and meets p2 too, so only the k-subsets are tried.
 
     Row families grow like |N(P)|**(Delta+1), so classes are fed into the
     basis cheapest first and the test exits as soon as every target is
@@ -269,7 +260,6 @@ class _SpanEngine:
         self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
         self._rows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        self._vertex_sets: dict[tuple[int, tuple[int, ...]], tuple[frozenset[int], ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
 
     def _cap(self, class_size: int) -> int:
@@ -309,17 +299,18 @@ class _SpanEngine:
             got = self._rows[key] = tuple(sorted(masks))
         return got
 
-    def vertex_sets(self, class_size: int, neighborhood: tuple[int, ...]
-                    ) -> tuple[frozenset[int], ...]:
-        """The distinct vertex sets of the monomials in a class's rows."""
-        key = (self._cap(class_size), neighborhood)
-        got = self._vertex_sets.get(key)
-        if got is None:
-            union = reduce(or_, self.class_rows(class_size, neighborhood), 0)
-            keys = self.interner.keys_by_id
-            got = self._vertex_sets[key] = tuple(
-                {frozenset([v for v, _c in keys[i]]) for i in _set_bits(union)})
-        return got
+    def _monomial_size(self, class_size: int, nbhd_size: int) -> int:
+        """The largest vertex-set size k of a monomial in a class's rows
+        (0: no rows); every k-subset of the neighborhood is one. Kind-P
+        monomials are the Delta-subsets once |N| > Delta, and a k-subset
+        is a kind-Q monomial for every k <= |N| with a color sequence."""
+        d = self.h.max_degree
+        if nbhd_size > d:
+            return d
+        k = nbhd_size
+        while k and not color_sequences(self.h, class_size, k):
+            k -= 1
+        return k
 
     def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
         """The neighborhood certificate of a failing test (class docstring):
@@ -327,8 +318,9 @@ class _SpanEngine:
         no other class."""
         p2 = tc.members[a2]
         nbhd = tc.nbhd
+        n1 = tc.sorted_nbhd(a1)
         covers = None
-        for t in self.vertex_sets(len(tc.members[a1]), tc.sorted_nbhd(a1)):
+        for t in combinations(n1, self._monomial_size(len(tc.members[a1]), len(n1))):
             if p2.isdisjoint(t):
                 continue   # p1's reduced rows may hold it
             if covers is None:
@@ -336,7 +328,7 @@ class _SpanEngine:
                 # to p2; p1 is excluded, p2 is never in its own neighborhood
                 class_of = tc.class_of
                 covers = [nbhd[c] for c in {class_of[u] for u in nbhd[a2]} if c != a1]
-            if not any(t <= nb for nb in covers):
+            if not any(nb.issuperset(t) for nb in covers):
                 return True
         return False
 
@@ -354,8 +346,7 @@ class _SpanEngine:
         stats.span_tests += 1
         members = tc.members
         p1, p2 = members[a1], members[a2]
-        targets = self.class_rows(len(p1), tc.sorted_nbhd(a1))
-        if not targets:
+        if not self.estimate_rows(len(p1), len(tc.nbhd[a1])):
             # empty target set is vacuously in any span
             return True
 
@@ -370,7 +361,7 @@ class _SpanEngine:
             return False
 
         basis = MaskBasis()
-        pending = list(targets)
+        pending = list(self.class_rows(len(p1), tc.sorted_nbhd(a1)))
         for est, a in sources:
             nbhd = reduced.get(a)
             rows = self.class_rows(len(members[a]), tc.sorted_nbhd(a) if nbhd is None else nbhd)

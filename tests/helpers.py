@@ -342,8 +342,10 @@ def row_count(h, class_size: int, neighborhood: tuple[int, ...]) -> int:
 
 def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
     """Some monomial of p1's rows mentions a vertex of p2, and no class
-    other than p1 and p2 has all of its vertices as neighbours."""
-    keys = engine.interner.keys_by_id
+    other than p1 and p2 has all of its vertices as neighbours. Decodes
+    the generated rows, so it does not rely on the library's rule for
+    which vertex sets the rows hold."""
+    keys = list(engine.interner)   # the keys by index
     others = [g.neighborhood_of_set(c) for c in pi.classes if c != p1 and c != p2]
     for row in targets:
         idx = 0

@@ -1,11 +1,12 @@
 """The benchmark harness's view of the package: every workload builds, the
 first op of each kind runs and passes the harness's own check, and the
-names ``perfbench/run.py`` reads exist. A deletion in the package that
-would break the benchmark fails here instead.
+names ``perfbench/run.py`` reads and traces exist. A deletion in the
+package that would break the benchmark fails here instead.
 
 ``perfbench/`` is imported through ``sys.path`` and only read.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -17,14 +18,17 @@ import hckernel.formats  # noqa: F401  (the harness imports it; the package does
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return workloads
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("name", ["attach", "dense", "sparse", "compose"])
@@ -42,3 +46,13 @@ def test_first_op_of_each_kind_passes_its_check(workloads, name):
 def test_run_metadata_names():
     # perfbench/run.py records the elimination backend in every run's meta
     assert isinstance(hckernel.GF2_BACKEND, str)
+
+
+def test_every_traced_name_exists():
+    # a traced name that is gone reads as "missing", not as a zero-time layer
+    tracer = _perfbench_module("spans").Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == set()
+    finally:
+        tracer.uninstall()

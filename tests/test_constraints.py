@@ -276,6 +276,23 @@ class TestRowPieces:
         for size, m in row_cases(h):
             assert engine.estimate_rows(size, m) == row_count(h, size, tuple(range(m))), (size, m)
 
+    @pytest.mark.parametrize("name", ROW_PATTERNS)
+    def test_largest_monomial_vertex_sets(self, name):
+        # the span test's neighborhood certificate tries only the subsets
+        # of this size; every smaller vertex set lies in one of them
+        h = resolve_pattern(name)
+        engine = _SpanEngine(h, KernelStats())
+        for size, m in row_cases(h):
+            nbhd = tuple(range(m))
+            sets = {frozenset(v for v, _c in key)
+                    for *_row, keys in iter_class_constraint_keys(h, size, nbhd)
+                    for key in keys}
+            k = engine._monomial_size(size, m)
+            assert k == max(map(len, sets), default=0), (size, m)
+            if sets:
+                assert {t for t in sets if len(t) == k} == \
+                    set(map(frozenset, itertools.combinations(nbhd, k))), (size, m)
+
 
 class TestRowPieceMemo:
     """The pieces live on the pattern, are built only when a neighborhood

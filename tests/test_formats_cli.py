@@ -89,9 +89,24 @@ class TestEmitGraph:
         assert "c label 1 2" in text
         back = parse_graph(text)
         assert back.n == g.n and back.m == g.m
-        # the same edges, on the ids renumbered 0..n-1
+        # the same edges and vertex names, on the ids renumbered 0..n-1
         index = {v: i for i, v in enumerate(g.vertices)}
         assert set(back.edges()) == {(index[u], index[v]) for u, v in g.edges()}
+        assert back.labels == {index[v]: name for v, name in g.labels.items()}
+
+    def test_label_name_is_rest_of_line(self):
+        g = parse_graph("p edge 2 1\nc label 2 old  name \nc label x free text\ne 1 2\n")
+        assert g.labels == {0: "1", 1: "old  name"}
+
+    def test_label_id_out_of_range(self):
+        with pytest.raises(ParseError, match="line 2: label id out of range 1..2"):
+            parse_graph("p edge 2 0\nc label 3 a\n")
+        with pytest.raises(ParseError, match="line 1: label id out of range"):
+            parse_graph("c label 0 a\np edge 2 0\n")
+
+    def test_label_twice(self):
+        with pytest.raises(ParseError, match="line 3: vertex 1 labelled twice"):
+            parse_graph("p edge 2 0\nc label 1 a\nc label 1 b\n")
 
     def test_matches_sort_then_join_emitter(self):
         # gapped ids renumber to 1..n; some vertices keep their own name as

@@ -32,9 +32,9 @@ def mask(ids, row):
     return reduce(or_, (1 << ids[key] for key in row), 0)
 
 
-def decode(keys_by_id, row_mask):
-    """The monomial keys of a bitmask row."""
-    return tuple(keys_by_id[i] for i in range(row_mask.bit_length()) if row_mask >> i & 1)
+def decode(keys, row_mask):
+    """The monomial keys of a bitmask row, given the keys by index."""
+    return tuple(keys[i] for i in range(row_mask.bit_length()) if row_mask >> i & 1)
 
 
 class TestMonomialCountBound:
@@ -119,7 +119,7 @@ class TestBasis:
         interner, basis = MonomialInterner(), MaskBasis()
         for _ in range(40):
             basis.insert(mask(interner, constraint(*rng.sample(universe, rng.randint(1, 6)))))
-        keys = interner.keys_by_id
+        keys = list(interner)   # the keys by index
         rows = [decode(keys, row) for row in basis.rows()]
         assert len(rows) == basis.rank
         # distinct leading monomials under the interning order is what
