@@ -33,11 +33,8 @@ from .graphs import (
     Graph,
     PatternError,
     PatternGraph,
-    TwinCover,
-    TwinDecomposition,
     is_twin_cover,
     min_twin_cover,
-    pattern_analyze,
     twin_decomposition,
 )
 from .kernelization import (

@@ -50,15 +50,15 @@ def _cmd_kernelize(args) -> int:
     if args.with_cover:
         # optional extra; a guard refusal must not lose the kernel output
         try:
-            cover = min_twin_cover(g, guard=_cover_guard())
+            k = len(min_twin_cover(g, guard=_cover_guard()))
         except CapacityError as exc:
             print(f"warning: {exc} (set HCKERNEL_COVER_GUARD to raise)",
                   file=sys.stderr)
             stats["cover"] = {"error": str(exc)}
         else:
             stats["cover"] = {
-                "k": cover.size,
-                "kernel_vertex_bound": kernelization.kernel_size_bound(cover.size, h),
+                "k": k,
+                "kernel_vertex_bound": kernelization.kernel_size_bound(k, h),
             }
     else:
         stats["cover"] = None
@@ -98,7 +98,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_twins(args) -> int:
     g = formats.parse_graph(_read(args.graph))
-    for cls in twin_decomposition(g).classes:
+    for cls in twin_decomposition(g):
         print(" ".join(g.label_of(v) for v in sorted(cls)))
     return EXIT_OK
 

@@ -107,8 +107,6 @@ class CompositionLayout:
     n: int
     s_ids: dict[tuple[int, int, int], int]   # (i, k, l) -> vertex
     t_ids: dict[tuple[int, int], int]        # (j, k) -> vertex
-    a_ids: dict[int, int]
-    b_ids: dict[int, int]
     gadget_counts: dict[int, int]      # step (5..8) -> gadgets placed
     gadget_vertices: dict[int, int]    # step (5..8) -> their vertices
     total_vertices: int
@@ -315,7 +313,7 @@ def compose(inputs: Sequence[TriangleSplitInstance]) -> tuple[ListColoringInstan
     instance = b.build()
     layout = CompositionLayout(
         t_given=len(inputs), t_padded=len(padded), q=q, m=m, n=n,
-        s_ids=s_ids, t_ids=t_ids, a_ids=a_ids, b_ids=b_ids,
+        s_ids=s_ids, t_ids=t_ids,
         gadget_counts=counts, gadget_vertices=vertices,
         total_vertices=instance.graph.n, total_edges=instance.graph.m,
     )

@@ -23,7 +23,7 @@ import json
 from typing import IO, Callable
 
 from .composer import TriangleSplitInstance
-from .graphs import Graph, PatternGraph, pattern_analyze
+from .graphs import Graph, PatternGraph
 
 
 class ParseError(ValueError):
@@ -198,9 +198,9 @@ def resolve_pattern(name_or_path: str) -> PatternGraph:
     builder = NAMED_PATTERNS.get(key) or NAMED_PATTERNS.get(key.upper()) \
         or NAMED_PATTERNS.get(key.lower())
     if builder is not None:
-        return pattern_analyze(builder())
+        return PatternGraph(builder())
     with open(name_or_path, "r", encoding="utf-8") as fh:
-        return pattern_analyze(parse_graph(fh.read()))
+        return PatternGraph(parse_graph(fh.read()))
 
 
 def write_json(payload: dict, stream: IO[str]) -> None:

@@ -132,35 +132,6 @@ class Graph:
                 and all(self.adj[v] <= other.adj[v] for v in self.vertices))
 
 
-@dataclass(frozen=True)
-class TwinDecomposition:
-    """Partition of V(G) into maximal classes of mutual true twins.
-
-    True twins share their closed neighborhood, hence are adjacent, so each
-    class induces a clique. Classes are ordered by smallest member.
-    """
-
-    classes: tuple[frozenset[int], ...]
-
-    def class_index(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, cls in enumerate(self.classes):
-            for v in cls:
-                out[v] = i
-        return out
-
-
-@dataclass(frozen=True)
-class TwinCover:
-    """Vertex set meeting every edge whose endpoints are not true twins."""
-
-    vertices: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
 @dataclass(eq=False)
 class PatternGraph:
     """A fixed target graph with the structural parameters it derives.
@@ -219,9 +190,11 @@ class PatternGraph:
         return got
 
 
-def twin_decomposition(g: Graph) -> TwinDecomposition:
-    """Group vertices of g by equal closed neighborhoods.
+def twin_decomposition(g: Graph) -> tuple[frozenset[int], ...]:
+    """Partition V(g) into maximal classes of mutual true twins.
 
+    True twins share their closed neighborhood, hence are adjacent, so each
+    class induces a clique. Classes are ordered by smallest member.
     Sorting the closed neighborhood of every vertex gives the unique
     maximal decomposition in O((n+m) log n) time. An empty graph yields an
     empty class sequence.
@@ -230,13 +203,12 @@ def twin_decomposition(g: Graph) -> TwinDecomposition:
     for v in g.vertices:
         key = tuple(sorted(g.adj[v] | {v}))
         groups.setdefault(key, []).append(v)
-    classes = sorted((frozenset(vs) for vs in groups.values()), key=min)
-    return TwinDecomposition(tuple(classes))
+    return tuple(sorted((frozenset(vs) for vs in groups.values()), key=min))
 
 
 def _non_twin_edges(g: Graph) -> list[tuple[int, int]]:
     """The edges of g whose endpoints are not true twins, in ``edges`` order."""
-    cls = twin_decomposition(g).class_index()
+    cls = {v: i for i, c in enumerate(twin_decomposition(g)) for v in c}
     return [(u, v) for u, v in g.edges() if cls[u] != cls[v]]
 
 
@@ -249,8 +221,9 @@ def is_twin_cover(g: Graph, s: Iterable[int]) -> bool:
     return all(u in s or v in s for u, v in _non_twin_edges(g))
 
 
-def min_twin_cover(g: Graph, guard: int | None = 30) -> TwinCover:
-    """Exact minimum twin-cover by branch and bound.
+def min_twin_cover(g: Graph, guard: int | None = 30) -> frozenset[int]:
+    """Exact minimum twin-cover by branch and bound: a smallest vertex set
+    meeting every edge whose endpoints are not true twins.
 
     Exponential in the worst case, so graphs above the guard are refused.
     This is a measurement tool for statistics and tests; the kernelization
@@ -260,7 +233,7 @@ def min_twin_cover(g: Graph, guard: int | None = 30) -> TwinCover:
         raise CapacityError(f"min_twin_cover guard exceeded: {g.n} > {guard} vertices")
     edges = _non_twin_edges(g)
     if not edges:
-        return TwinCover(frozenset())
+        return frozenset()
 
     # Greedy upper bound: repeatedly pick the endpoint covering the most
     # remaining non-twin edges. Seeds the branch-and-bound cutoff.
@@ -298,7 +271,7 @@ def min_twin_cover(g: Graph, guard: int | None = 30) -> TwinCover:
         chosen.discard(v)
 
     branch(0, set())
-    return TwinCover(best[1])
+    return best[1]
 
 
 def _bipartition(g: Graph) -> bool:
@@ -341,7 +314,3 @@ def _grow_clique(adj: dict[int, frozenset[int]], size: int, candidates: list[int
         best = _grow_clique(adj, size + 1, [u for u in candidates[i + 1:] if u in adj[v]], best)
     return best
 
-
-def pattern_analyze(h: Graph) -> PatternGraph:
-    """Validate and analyze a target graph: ``PatternGraph(h)``."""
-    return PatternGraph(h)

@@ -51,7 +51,7 @@ from typing import Iterator, Mapping
 
 from .constraints import color_sequences, iter_class_constraint_keys
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
-from .graphs import Graph, PatternGraph, TwinDecomposition, twin_decomposition
+from .graphs import Graph, PatternGraph, twin_decomposition
 
 
 @dataclass(slots=True)
@@ -150,15 +150,14 @@ class _TwinClasses:
     whose closed neighborhood it now equals. Every other entry stays valid.
     """
 
-    def __init__(self, g: Graph, pi: TwinDecomposition, engine: "_SpanEngine"):
+    def __init__(self, g: Graph, classes: tuple[frozenset[int], ...], engine: "_SpanEngine"):
         self._estimate = engine.estimate_rows
         self.members: dict[int, frozenset[int]] = {}
         self.nbhd: dict[int, frozenset[int]] = {}
         self.class_of: dict[int, int] = {}
         self._est: dict[int, int] = {}
         self._by_closed: dict[frozenset[int], int] = {}
-        self._sorted: dict[int, tuple[int, ...]] = {}
-        for cls in pi.classes:
+        for cls in classes:
             self._put(cls, g.neighborhood_of_set(cls))
         self.ranked = sorted((est, anchor) for anchor, est in self._est.items())
 
@@ -191,7 +190,6 @@ class _TwinClasses:
         del self._by_closed[self.nbhd.pop(anchor) | cls]
         for v in cls:
             del self.class_of[v]
-        self._sorted.pop(anchor, None)
         ranked = self.ranked
         del ranked[bisect_left(ranked, (self._est.pop(anchor), anchor))]
         return cls
@@ -204,12 +202,6 @@ class _TwinClasses:
         for anchor, est in estimates.items():
             insort(out, (est, anchor))
         return out
-
-    def sorted_nbhd(self, anchor: int) -> tuple[int, ...]:
-        got = self._sorted.get(anchor)
-        if got is None:
-            got = self._sorted[anchor] = tuple(sorted(self.nbhd[anchor]))
-        return got
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered class pairs joined by an edge, as anchors.
@@ -230,7 +222,7 @@ class _TwinClasses:
 class _SpanEngine:
     """Shared interner plus per-neighborhood row cache for rule 2 tests.
 
-    Rows depend only on (class size capped at omega(H)+1, sorted open
+    Rows depend only on (class size capped at omega(H)+1, open
     neighborhood), so repeated tests across the run reuse the cached
     bitmasks. Class sizes above omega(H)+1 behave identically because
     omega(H[Y]) < size is then always true.
@@ -259,7 +251,7 @@ class _SpanEngine:
         self.h = h
         self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
-        self._rows: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._rows: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
 
     def _cap(self, class_size: int) -> int:
@@ -280,7 +272,7 @@ class _SpanEngine:
         self._estimates[key] = total
         return total
 
-    def class_rows(self, class_size: int, neighborhood: tuple[int, ...]) -> tuple[int, ...]:
+    def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
         """The distinct row bitmasks of a class, in increasing order.
 
         Identical rows span nothing more, so only one of each is kept; how
@@ -291,7 +283,8 @@ class _SpanEngine:
         if got is None:
             ids = self.interner   # indexing interns an unseen key
             masks = set()
-            for _kind, _s, _x, keys in iter_class_constraint_keys(self.h, key[0], neighborhood):
+            for _kind, _s, _x, keys in iter_class_constraint_keys(
+                    self.h, key[0], tuple(sorted(neighborhood))):
                 mask = 0
                 for mk in keys:
                     mask |= 1 << ids[mk]
@@ -318,7 +311,7 @@ class _SpanEngine:
         no other class."""
         p2 = tc.members[a2]
         nbhd = tc.nbhd
-        n1 = tc.sorted_nbhd(a1)
+        n1 = nbhd[a1]
         covers = None
         for t in combinations(n1, self._monomial_size(len(tc.members[a1]), len(n1))):
             if p2.isdisjoint(t):
@@ -350,8 +343,7 @@ class _SpanEngine:
             # empty target set is vacuously in any span
             return True
 
-        reduced = {a1: tuple(sorted(tc.nbhd[a1] - p2)),
-                   a2: tuple(sorted(tc.nbhd[a2] - p1))}
+        reduced = {a1: tc.nbhd[a1] - p2, a2: tc.nbhd[a2] - p1}
         sources = tc.reranked({a: self.estimate_rows(len(members[a]), len(nbhd))
                                for a, nbhd in reduced.items()})
         if self._refuted(tc, a1, a2):
@@ -361,10 +353,9 @@ class _SpanEngine:
             return False
 
         basis = MaskBasis()
-        pending = list(self.class_rows(len(p1), tc.sorted_nbhd(a1)))
+        pending = list(self.class_rows(len(p1), tc.nbhd[a1]))
         for est, a in sources:
-            nbhd = reduced.get(a)
-            rows = self.class_rows(len(members[a]), tc.sorted_nbhd(a) if nbhd is None else nbhd)
+            rows = self.class_rows(len(members[a]), reduced.get(a, tc.nbhd[a]))
             if not rows:
                 continue
             grew = False
@@ -393,7 +384,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
     """
     start = time.perf_counter()
     pi = twin_decomposition(g)
-    stats = KernelStats(input_n=g.n, input_m=g.m, twin_classes=len(pi.classes))
+    stats = KernelStats(input_n=g.n, input_m=g.m, twin_classes=len(pi))
     engine = _SpanEngine(h, stats)
     tc = _TwinClasses(g, pi, engine)
     history: list[AppliedRule] | None = [] if record_history else None

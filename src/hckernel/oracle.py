@@ -312,11 +312,14 @@ def find_h_coloring(g: Graph, h: PatternGraph, guard=_UNSET) -> dict[int, int] |
 
 
 def verify_h_coloring(g: Graph, h: PatternGraph, f: Mapping[int, int]) -> bool:
-    """Edge-by-edge check that f maps g into the target."""
+    """Check that f maps every vertex of g to a target vertex and every
+    edge of g onto a target edge."""
     missing = [v for v in g.vertices if v not in f]
     if missing:
         raise ValueError(f"map is not total; unassigned vertices: {missing[:5]}")
     hadj = h.graph.adj
+    if any(f[v] not in hadj for v in g.vertices):
+        return False
     for u, v in g.edges():
         if f[v] not in hadj[f[u]]:
             return False

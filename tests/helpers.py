@@ -335,9 +335,9 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 # assertion here.
 
 @functools.cache
-def row_count(h, class_size: int, neighborhood: tuple[int, ...]) -> int:
+def row_count(h, class_size: int, neighborhood: frozenset[int]) -> int:
     """The number of rows the generator yields for one family."""
-    return sum(1 for _ in iter_class_constraint_keys(h, class_size, neighborhood))
+    return sum(1 for _ in iter_class_constraint_keys(h, class_size, tuple(sorted(neighborhood))))
 
 
 def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
@@ -346,7 +346,7 @@ def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bo
     the generated rows, so it does not rely on the library's rule for
     which vertex sets the rows hold."""
     keys = list(engine.interner)   # the keys by index
-    others = [g.neighborhood_of_set(c) for c in pi.classes if c != p1 and c != p2]
+    others = [g.neighborhood_of_set(c) for c in pi if c != p1 and c != p2]
     for row in targets:
         idx = 0
         while row:
@@ -365,36 +365,35 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
         return None
     stats = engine.stats
     stats.span_tests += 1
-    targets = engine.class_rows(len(p1), tuple(sorted(g.neighborhood_of_set(p1))))
+    targets = engine.class_rows(len(p1), g.neighborhood_of_set(p1))
     if not targets:
         return g.without_edges(removed)
     refuted = _reference_refuted(engine, g, pi, p1, p2, targets)
     stats.span_refuted += refuted
 
     sources = []
-    for cls in pi.classes:
+    for cls in pi:
         nbhd = g.neighborhood_of_set(cls)
         if cls == p1:
             nbhd -= p2
         elif cls == p2:
             nbhd -= p1
-        nbhd_t = tuple(sorted(nbhd))
-        sources.append((engine.estimate_rows(len(cls), len(nbhd_t)),
-                        min(cls), len(cls), nbhd_t))
+        sources.append((engine.estimate_rows(len(cls), len(nbhd)),
+                        min(cls), len(cls), nbhd))
     sources.sort(key=lambda s: (s[0], s[1]))
 
     basis = MaskBasis()
     pending = list(targets)
     in_span = False
     rank = 0
-    for _est, _anchor, size, nbhd_t in sources:
-        rows = engine.class_rows(size, nbhd_t)
+    for _est, _anchor, size, nbhd in sources:
+        rows = engine.class_rows(size, nbhd)
         if not rows:
             continue
         grew = False
         for mask in rows:
             grew |= basis.insert(mask)
-        stats.rows_considered += row_count(engine.h, size, nbhd_t)
+        stats.rows_considered += row_count(engine.h, size, nbhd)
         rank = basis.rank
         if grew:
             pending = [t for t in pending if not basis.contains(t)]
@@ -409,7 +408,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
 
 
 def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
-    classes = sorted(pi.classes, key=min)
+    classes = sorted(pi, key=min)
     ranked = []
     for p1 in classes:
         nbhd = g.neighborhood_of_set(p1)
@@ -432,7 +431,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
     """
     start = time.perf_counter()
     stats = KernelStats(input_n=g.n, input_m=g.m,
-                        twin_classes=len(twin_decomposition(g).classes))
+                        twin_classes=len(twin_decomposition(g)))
     engine = _SpanEngine(h, stats)
     history: list[AppliedRule] = []
     held: list[Graph] = []
@@ -447,13 +446,13 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
     while True:
         stats.passes += 1
         pi = twin_decomposition(work)
-        big = next((cls for cls in pi.classes if len(cls) > h.clique_number), None)
+        big = next((cls for cls in pi if len(cls) > h.clique_number), None)
         if big is not None:
             stats.rule1 += 1
             trivial = True
             record(AppliedRule("rule1", big), work)
             break
-        isolated = next((cls for cls in pi.classes if len(cls) <= h.clique_number
+        isolated = next((cls for cls in pi if len(cls) <= h.clique_number
                          and not work.neighborhood_of_set(cls)), None)
         if isolated is not None:
             reduced = work.without_vertices(isolated)

@@ -38,8 +38,8 @@ from hckernel.constraints import (
 from hckernel.gf2 import in_span, monomial_count_bound
 from hckernel.graphs import (
     Graph,
+    PatternGraph,
     min_twin_cover,
-    pattern_analyze,
     twin_decomposition,
 )
 from hckernel.kernelization import KernelStats, _SpanEngine, kernel_size_bound, kernelize
@@ -62,9 +62,9 @@ def cycle(n):
 
 
 PATTERNS = {
-    "K3": pattern_analyze(clique(3)),
-    "K4": pattern_analyze(clique(4)),
-    "C5": pattern_analyze(cycle(5)),
+    "K3": PatternGraph(clique(3)),
+    "K4": PatternGraph(clique(4)),
+    "C5": PatternGraph(cycle(5)),
 }
 
 COLORABLE_INPUT = TriangleSplitInstance(1, 1, frozenset())
@@ -139,12 +139,12 @@ def corpus_records():
     elapsed = time.perf_counter() - start
     # exact twin covers for the input and after every rule application
     for rec in records:
-        rec.input_cover = min_twin_cover(rec.graph).size
+        rec.input_cover = len(min_twin_cover(rec.graph))
         covers = []
         for step, after in zip(rec.history, replay(rec.graph, rec.history)):
             if step.rule == "rule1":
                 continue
-            covers.append(min_twin_cover(after).size)
+            covers.append(len(min_twin_cover(after)))
         rec.step_covers = covers
     return records, elapsed
 
@@ -227,7 +227,7 @@ def test_criterion_4_size_bound_and_plateau(corpus_records):
             g = _attachment_family(core, extra, 42)
             res = kernelize(g, k3)
             kernel_n = 0 if res.trivial_no else res.graph.n
-            cover = min_twin_cover(g, guard=None).size
+            cover = len(min_twin_cover(g, guard=None))
             assert kernel_n <= kernel_size_bound(cover, k3)
             sizes[extra] = kernel_n
         assert sizes[200] == sizes[400], sizes
@@ -240,7 +240,7 @@ def test_criterion_4_size_bound_and_plateau(corpus_records):
         g = _attachment_family(cycle(5), extra, 42)
         res = kernelize(g, k3)
         assert not res.trivial_no
-        cover = min_twin_cover(g, guard=None).size
+        cover = len(min_twin_cover(g, guard=None))
         assert res.graph.n <= kernel_size_bound(cover, k3)
         sizes[extra] = res.graph.n
     assert sizes[200] == sizes[400]
@@ -394,8 +394,8 @@ def test_criterion_9_bookkeeping_bounds(corpus_records):
         # distinct monomials of this graph's rows
         engine = _SpanEngine(h, KernelStats())
         total = 0
-        for cls in twin_decomposition(g).classes:
-            nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
+        for cls in twin_decomposition(g):
+            nbhd = g.neighborhood_of_set(cls)
             engine.class_rows(len(cls), nbhd)
             total += row_count(h, len(cls), nbhd)
         assert total <= constraint_count_bound(g.n, h)

@@ -15,7 +15,7 @@ from hckernel.constraints import (
     iter_class_constraint_keys,
 )
 from hckernel.formats import resolve_pattern
-from hckernel.graphs import Graph, pattern_analyze, twin_decomposition
+from hckernel.graphs import Graph, PatternGraph, twin_decomposition
 from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
 
 from helpers import (
@@ -34,9 +34,9 @@ def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-K3 = pattern_analyze(clique(3))
-K4 = pattern_analyze(clique(4))
-C5 = pattern_analyze(cycle(5))
+K3 = PatternGraph(clique(3))
+K4 = PatternGraph(clique(4))
+C5 = PatternGraph(cycle(5))
 
 
 def mono(*pairs):
@@ -135,7 +135,7 @@ class TestClassConstraints:
     def test_star_center_single_type_p(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         pi = twin_decomposition(g)
-        by_owner = {cls: class_rows(g, K3, cls) for cls in pi.classes}
+        by_owner = {cls: class_rows(g, K3, cls) for cls in pi}
         center = by_owner[frozenset({0})]
         assert len(center) == 1 and center[0][0] == "P"
         for leaf in ({1}, {2}, {3}):
@@ -144,11 +144,11 @@ class TestClassConstraints:
     def test_edgeless_graph_empty(self):
         g = Graph.from_edges(4, [])
         assert all(len(class_rows(g, K3, cls)) == 0
-                   for cls in twin_decomposition(g).classes)
+                   for cls in twin_decomposition(g))
 
     def test_single_edge_twins_no_constraints(self):
         g = Graph.from_edges(2, [(0, 1)])
-        classes = twin_decomposition(g).classes
+        classes = twin_decomposition(g)
         assert len(classes) == 1 and len(class_rows(g, K3, classes[0])) == 0
 
     def test_degree_bound(self):
@@ -156,7 +156,7 @@ class TestClassConstraints:
         for h in (K3, K4, C5):
             for _ in range(15):
                 g = random_graph(rng.randint(2, 7), 0.5, rng)
-                for cls in twin_decomposition(g).classes:
+                for cls in twin_decomposition(g):
                     for _kind, _s, _x, keys in class_rows(g, h, cls):
                         assert all(len(key) <= h.max_degree for key in keys)
 
@@ -165,7 +165,7 @@ class TestClassConstraints:
         for _ in range(15):
             g = random_graph(rng.randint(3, 7), 0.5, rng)
             pi = twin_decomposition(g)
-            for cls in pi.classes:
+            for cls in pi:
                 nbhd = g.neighborhood_of_set(cls)
                 for _kind, _s, _x, keys in class_rows(g, K3, cls):
                     for key in keys:
@@ -177,7 +177,7 @@ class TestClassConstraints:
             for _ in range(10):
                 g = random_graph(rng.randint(2, 7), 0.6, rng)
                 total = sum(len(class_rows(g, h, cls))
-                            for cls in twin_decomposition(g).classes)
+                            for cls in twin_decomposition(g))
                 assert total <= constraint_count_bound(g.n, h)
 
 
@@ -193,7 +193,7 @@ class TestColoringsSatisfyConstraints:
                   for _ in range(6)]
         graphs.append(Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]))
         for g in graphs:
-            rows = [keys for cls in twin_decomposition(g).classes
+            rows = [keys for cls in twin_decomposition(g)
                     for _kind, _s, _x, keys in class_rows(g, h, cls)]
             for coloring in itertools.islice(enumerate_h_colorings(g, h.graph), 200):
                 assign = indicator_of(coloring)
@@ -217,7 +217,7 @@ class TestColoringsSatisfyConstraints:
             for _ in range(8):
                 g = random_graph(rng.randint(2, 6), rng.choice([0.4, 0.7]), rng)
                 pi = twin_decomposition(g)
-                for cls in pi.classes:
+                for cls in pi:
                     rows = [keys for _kind, _s, _x, keys in class_rows(g, h, cls)]
                     rest = g.without_vertices(cls)
                     for coloring in itertools.islice(
@@ -274,7 +274,7 @@ class TestRowPieces:
         h = resolve_pattern(name)
         engine = _SpanEngine(h, KernelStats())
         for size, m in row_cases(h):
-            assert engine.estimate_rows(size, m) == row_count(h, size, tuple(range(m))), (size, m)
+            assert engine.estimate_rows(size, m) == row_count(h, size, frozenset(range(m))), (size, m)
 
     @pytest.mark.parametrize("name", ROW_PATTERNS)
     def test_largest_monomial_vertex_sets(self, name):

@@ -14,7 +14,6 @@ from hckernel.graphs import (
     _max_clique_size,
     is_twin_cover,
     min_twin_cover,
-    pattern_analyze,
     twin_decomposition,
 )
 
@@ -76,10 +75,10 @@ class TestGraph:
 
 class TestTwinDecomposition:
     def test_complete_graph_single_class(self):
-        assert twin_decomposition(triangle()).classes == (frozenset({0, 1, 2}),)
+        assert twin_decomposition(triangle()) == (frozenset({0, 1, 2}),)
 
     def test_path_all_singletons(self):
-        got = twin_decomposition(path3()).classes
+        got = twin_decomposition(path3())
         assert got == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_k4_minus_edge(self):
@@ -87,27 +86,27 @@ class TestTwinDecomposition:
         # degree-3 vertices form the only non-trivial class
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         assert brute_twin_classes(g) == {frozenset({0, 1}), frozenset({2}), frozenset({3})}
-        assert set(twin_decomposition(g).classes) == brute_twin_classes(g)
+        assert set(twin_decomposition(g)) == brute_twin_classes(g)
 
     def test_empty_graph(self):
-        assert twin_decomposition(Graph.from_edges(0, [])).classes == ()
+        assert twin_decomposition(Graph.from_edges(0, [])) == ()
 
     def test_matches_brute_force_small_exhaustive(self):
         for n in range(1, 5):
             for g in all_labeled_graphs(n):
-                assert set(twin_decomposition(g).classes) == brute_twin_classes(g)
+                assert set(twin_decomposition(g)) == brute_twin_classes(g)
 
     def test_matches_brute_force_random_up_to_12(self):
         rng = random.Random(7)
         for _ in range(200):
             g = random_graph(rng.randint(5, 12), rng.choice([0.2, 0.5, 0.8]), rng)
-            assert set(twin_decomposition(g).classes) == brute_twin_classes(g)
+            assert set(twin_decomposition(g)) == brute_twin_classes(g)
 
     def test_classes_induce_cliques(self):
         rng = random.Random(11)
         for _ in range(100):
             g = random_graph(rng.randint(2, 10), 0.5, rng)
-            for cls in twin_decomposition(g).classes:
+            for cls in twin_decomposition(g):
                 for u, v in itertools.combinations(sorted(cls), 2):
                     assert g.has_edge(u, v)
 
@@ -125,31 +124,31 @@ class TestTwinCover:
             is_twin_cover(path3(), {5})
 
     def test_min_cover_complete_graph(self):
-        assert min_twin_cover(clique(5)).size == 0
+        assert min_twin_cover(clique(5)) == frozenset()
 
     def test_min_cover_star(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert min_twin_cover(g).vertices == frozenset({0})
+        assert min_twin_cover(g) == frozenset({0})
 
     def test_min_cover_c5(self):
         # C5 is twin-free, so twin covers are vertex covers; by exhaustive
         # subset check no 2-subset covers all 5 edges and some 3-subset does
         assert brute_min_twin_cover_size(cycle(5)) == 3
-        assert min_twin_cover(cycle(5)).size == 3
+        assert len(min_twin_cover(cycle(5))) == 3
 
     def test_guard(self):
         g = Graph.from_edges(31, [])
         with pytest.raises(CapacityError):
             min_twin_cover(g, guard=30)
-        assert min_twin_cover(g, guard=None).size == 0
+        assert min_twin_cover(g, guard=None) == frozenset()
 
     def test_matches_brute_force(self):
         rng = random.Random(13)
         for _ in range(80):
             g = random_graph(rng.randint(2, 9), rng.choice([0.3, 0.6]), rng)
             got = min_twin_cover(g)
-            assert is_twin_cover(g, got.vertices)
-            assert got.size == brute_min_twin_cover_size(g)
+            assert is_twin_cover(g, got)
+            assert len(got) == brute_min_twin_cover_size(g)
 
     def test_minimal_cover_respects_classes(self):
         # every inclusion-minimal cover contains each twin class fully or
@@ -157,7 +156,7 @@ class TestTwinCover:
         rng = random.Random(17)
         for _ in range(40):
             g = random_graph(rng.randint(2, 10), rng.choice([0.3, 0.5, 0.7]), rng)
-            classes = twin_decomposition(g).classes
+            classes = twin_decomposition(g)
             found = brute_minimal_twin_covers(g)
             assert found
             for cover in found:
@@ -167,30 +166,22 @@ class TestTwinCover:
 
 class TestPatternAnalyze:
     def test_k3(self):
-        p = pattern_analyze(triangle())
+        p = PatternGraph(triangle())
         assert (p.max_degree, p.clique_number) == (2, 3)
 
     def test_c5(self):
-        p = pattern_analyze(cycle(5))
+        p = PatternGraph(cycle(5))
         assert (p.max_degree, p.clique_number) == (2, 2)
 
     def test_petersen(self):
-        p = pattern_analyze(Graph.from_edges(10, petersen_edges()))
+        p = PatternGraph(Graph.from_edges(10, petersen_edges()))
         assert (p.max_degree, p.clique_number) == (3, 2)
 
     def test_bipartite_rejected(self):
         with pytest.raises(PatternError, match="polynomial-time"):
-            pattern_analyze(cycle(4))
+            PatternGraph(cycle(4))
 
     def test_empty_rejected(self):
-        with pytest.raises(PatternError):
-            pattern_analyze(Graph.from_edges(0, []))
-
-    def test_type_checks_itself(self):
-        # the target type derives its parameters and refuses bad targets
-        # without going through pattern_analyze
-        with pytest.raises(PatternError, match="polynomial-time"):
-            PatternGraph(cycle(4))
         with pytest.raises(PatternError, match="empty"):
             PatternGraph(Graph.from_edges(0, []))
 
@@ -208,7 +199,7 @@ class TestPatternAnalyze:
         assert sizes == [2] * 20
 
     def test_omega_of_induced_subsets(self):
-        p = pattern_analyze(triangle())
+        p = PatternGraph(triangle())
         assert p.omega_of(frozenset({0, 1})) == 2
         assert p.omega_of(frozenset({0})) == 1
         assert p.omega_of(frozenset()) == 0

@@ -15,7 +15,6 @@ from hckernel.graphs import (
     PatternGraph,
     is_twin_cover,
     min_twin_cover,
-    pattern_analyze,
     twin_decomposition,
 )
 from hckernel.kernelization import (
@@ -55,9 +54,9 @@ def disjoint(*graphs):
     return Graph.from_edges(offset, edges)
 
 
-K3 = pattern_analyze(clique(3))
-K4 = pattern_analyze(clique(4))
-C5 = pattern_analyze(cycle(5))
+K3 = PatternGraph(clique(3))
+K4 = PatternGraph(clique(4))
+C5 = PatternGraph(cycle(5))
 PATTERNS = {"K3": K3, "K4": K4, "C5": C5}
 
 
@@ -73,7 +72,7 @@ class TestRule1:
 
     def test_c5_vs_c5(self):
         g = cycle(5)
-        assert all(len(cls) == 1 for cls in twin_decomposition(g).classes)
+        assert all(len(cls) == 1 for cls in twin_decomposition(g))
         res = kernelize(g, C5)
         assert not res.trivial_no and res.stats.rule1 == 0
 
@@ -89,7 +88,7 @@ def span_engine_test(g, h, p1, p2):
 def joined_pairs(g):
     """Ordered pairs of distinct twin classes of g joined by an edge."""
     pi = twin_decomposition(g)
-    return [(p1, p2) for p1 in pi.classes for p2 in pi.classes
+    return [(p1, p2) for p1 in pi for p2 in pi
             if p1 != p2 and g.edges_between(p1, p2)]
 
 
@@ -116,7 +115,7 @@ class TestRule2:
         # no ordered pair exists for the rule to consider
         g = clique(2)
         pi = twin_decomposition(g)
-        assert len(pi.classes) == 1
+        assert len(pi) == 1
         res = kernelize(g, K3)
         assert res.stats.span_tests == 0 and res.graph.n == 0
 
@@ -157,9 +156,9 @@ def oracle_rows(g, h, pi, p1, p2, rows=None):
     ``rows`` may hold each class's rows in g; only p1 and p2 have other
     rows once the edges are gone."""
     if rows is None:
-        rows = {cls: class_key_rows(g, h, cls) for cls in pi.classes}
+        rows = {cls: class_key_rows(g, h, cls) for cls in pi}
     reduced = g.without_edges(g.edges_between(p1, p2))
-    gens = [keys for cls in pi.classes
+    gens = [keys for cls in pi
             for keys in (class_key_rows(reduced, h, cls) if cls in (p1, p2) else rows[cls])]
     return rows[p1], gens
 
@@ -187,7 +186,7 @@ class TestSpanOracle:
     def test_every_adjacent_pair(self, g, name):
         h = PATTERNS[name]
         pi = twin_decomposition(g)
-        rows = {cls: class_key_rows(g, h, cls) for cls in pi.classes}
+        rows = {cls: class_key_rows(g, h, cls) for cls in pi}
         for p1, p2 in joined_pairs(g):
             assert span_engine_test(g, h, p1, p2)[0] == \
                 oracle_rule2(g, h, pi, p1, p2, rows), (sorted(p1), sorted(p2))
@@ -319,11 +318,11 @@ class TestKernelize:
             g = random_graph(rng.randint(4, 9), rng.choice([0.4, 0.6]), rng)
             for h in (K3, K4):
                 res = kernelize(g, h, record_history=True)
-                sizes = [min_twin_cover(g).size]
+                sizes = [len(min_twin_cover(g))]
                 for step, after in zip(res.history, replay(g, res.history)):
                     if step.rule == "rule1":
                         continue
-                    sizes.append(min_twin_cover(after).size)
+                    sizes.append(len(min_twin_cover(after)))
                 assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
 
     def test_size_bound_on_random_inputs(self):
@@ -375,8 +374,8 @@ class TestPlateauFamily:
         r90 = kernelize(g90, K3)
         assert not r50.trivial_no and not r90.trivial_no
         assert r50.graph.n == r90.graph.n
-        k = min_twin_cover(g50, guard=None).size
-        assert is_twin_cover(g50, min_twin_cover(g50, guard=None).vertices)
+        k = len(min_twin_cover(g50, guard=None))
+        assert is_twin_cover(g50, min_twin_cover(g50, guard=None))
         assert r50.graph.n <= kernel_size_bound(k, K3)
 
 

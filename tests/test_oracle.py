@@ -13,7 +13,7 @@ from hckernel.composer import (
     compose,
     list_to_plain,
 )
-from hckernel.graphs import CapacityError, Graph, pattern_analyze
+from hckernel.graphs import CapacityError, Graph, PatternGraph
 from hckernel.oracle import (
     _pin_cliques,
     _search,
@@ -41,10 +41,10 @@ def cycle(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-K3 = pattern_analyze(clique(3))
-K4 = pattern_analyze(clique(4))
-C5 = pattern_analyze(cycle(5))
-PETERSEN = pattern_analyze(Graph.from_edges(10, petersen_edges()))
+K3 = PatternGraph(clique(3))
+K4 = PatternGraph(clique(4))
+C5 = PatternGraph(cycle(5))
+PETERSEN = PatternGraph(Graph.from_edges(10, petersen_edges()))
 
 COLORABLE_INPUT = TriangleSplitInstance(1, 1, frozenset())
 UNCOLORABLE_INPUT = TriangleSplitInstance(1, 1, frozenset({(0, 0), (0, 1), (0, 2)}))
@@ -130,6 +130,10 @@ class TestVerify:
     def test_partial_map_rejected(self):
         with pytest.raises(ValueError, match="not total"):
             verify_h_coloring(clique(3), K3, {0: 0})
+
+    def test_value_outside_target_rejected(self):
+        assert not verify_h_coloring(Graph.from_edges(2, []), K3, {0: 99, 1: "x"})
+        assert not verify_h_coloring(clique(2), K3, {0: 99, 1: 1})
 
 
 class TestListColoring:
