@@ -12,17 +12,22 @@ conditions on the coloring of the open neighborhood N(P) so that P itself
 Both families only mention indicator variables of vertices in N(P), and
 every row has degree at most Delta(H).
 
-Up to relabelling, the rows are the same for every neighborhood: a kind-P
-row is one selector template over positions 0..Delta(H) per
-(Delta(H)+1)-color subset, and the kind-Q color sequences of length k
+Up to relabelling, the rows are the same for every neighborhood. A kind-P
+row is one selector template over positions 0..Delta(H) per Delta(H)-color
+subset: the selector pairs its k-th chosen vertex with the k-th color for
+k < Delta(H) only, so (Delta(H)+1)-color subsets with the same Delta(H)
+smallest colors give the same row, and the Delta(H)-subsets of all colors
+but the last give each row once. The kind-Q color sequences of length k
 depend only on the target and the class size capped at omega(H)+1. Both
 pieces are memoized on the ``PatternGraph`` and built on first need, so
-``iter_class_constraint_keys`` only relabels them.
+``iter_class_constraint_keys`` only relabels them. Only this module knows
+the families' shape: ``class_row_count`` and ``monomial_size``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
@@ -33,8 +38,8 @@ def _selector_monomial_keys(rows: tuple[int, ...], cols: tuple[int, ...]) -> Ite
     """The monomial keys of the distinct-color selector polynomial.
 
     One monomial per ordered selection of len(rows)-1 distinct rows; the
-    k-th selected row is paired with the k-th column. Keys are sorted
-    (vertex, color) tuples.
+    k-th selected row is paired with the k-th column, so only the first
+    len(rows)-1 columns are read. Keys are sorted (vertex, color) tuples.
     """
     q = len(rows)
     for sel in itertools.permutations(range(q), q - 1):
@@ -42,8 +47,8 @@ def _selector_monomial_keys(rows: tuple[int, ...], cols: tuple[int, ...]) -> Ite
 
 
 def build_coloring_polynomial(q: int) -> tuple[tuple, ...]:
-    """Degree q-1 polynomial over variables y[i,k], i,k in 1..q, as its
-    sorted monomial keys.
+    """Degree q-1 polynomial over variables y[i,k], i in 1..q and k in
+    1..q-1 (column q never occurs), as its sorted monomial keys.
 
     With each row choosing at most one color, it evaluates to 1 mod 2
     exactly when no color is chosen by two distinct rows and every column
@@ -92,55 +97,52 @@ def color_sequences(h: PatternGraph, class_size: int, k: int) -> tuple[tuple[int
     return lists[k - 1]
 
 
-def _selector_templates(h: PatternGraph) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
-    """Kind-P pieces: per (Delta+1)-color subset x, the selector keys of
-    ``_selector_monomial_keys`` over positions 0..Delta instead of vertices.
+def _selector_templates(h: PatternGraph) -> tuple[itemgetter, ...]:
+    """Kind-P pieces: per Delta-subset y of all colors but the last, the
+    keys of ``_selector_monomial_keys`` over positions 0..Delta, not vertices.
 
     A template is stored as one ``itemgetter`` that picks, monomial after
     monomial, every (position, color) pair from a table holding the pair
     (s[i], c) at ``i * |V(H)| + index of c``. Relabelling a sorted subset s
-    is then one table build and one call per x; the result is already
-    sorted and duplicate-free, because i -> s[i] is increasing. Built on
-    first use and memoized on the pattern (K9's template alone has 9!
-    monomials).
+    is then one table build and one call per y; the result is already
+    sorted, because i -> s[i] is increasing. Built on first use and
+    memoized on the pattern (K9's template alone has 9! monomials).
     """
     got = h._selector_memo
     if got is None:
-        q = h.max_degree + 1
+        d = h.max_degree
         colors = h.color_ids
         index = {c: i for i, c in enumerate(colors)}
-        positions = tuple(range(q))
-        got = []
-        for x in itertools.combinations(colors, q):
-            keys = sorted(set(_selector_monomial_keys(positions, x)))
-            got.append((x, itemgetter(*(i * len(colors) + index[c]
-                                        for key in keys for i, c in key))))
-        got = h._selector_memo = tuple(got)
+        positions = tuple(range(d + 1))
+        got = h._selector_memo = tuple(
+            itemgetter(*(i * len(colors) + index[c]
+                         for key in sorted(_selector_monomial_keys(positions, y))
+                         for i, c in key))
+            for y in itertools.combinations(colors[:-1], d))
     return got
 
 
 def iter_class_constraint_keys(
     h: PatternGraph, class_size: int, neighborhood: tuple[int, ...]
-) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]]:
-    """Yield (kind, s, x, monomial_keys) rows for one twin class.
+) -> Iterator[tuple[tuple, ...]]:
+    """Yield each row of one twin class once, as its tuple of monomial keys.
 
     ``neighborhood`` must be sorted. This generator is the only source of
-    rows: a row is its tuple of monomial keys, which the kernelizer interns
-    into a bitmask. Rows are relabelled per-pattern pieces (see
-    ``_selector_templates`` and ``color_sequences``); monomial keys are
-    sorted tuples of (vertex, color) pairs, listed in increasing order.
+    rows, which the kernelizer interns into bitmasks. Rows are relabelled
+    per-pattern pieces (see ``_selector_templates`` and
+    ``color_sequences``); monomial keys are sorted tuples of (vertex,
+    color) pairs, listed in increasing order.
     """
     d = h.max_degree
-    # kind P: no Delta+1 neighbours may be rainbow-colored. No subsets exist
-    # when the neighborhood is not larger than Delta(H).
-    if len(neighborhood) >= d + 1:
+    # kind P: no Delta+1 neighbours may be rainbow-colored
+    if len(neighborhood) > d:
         colors = h.color_ids
         templates = _selector_templates(h)
         for s in itertools.combinations(neighborhood, d + 1):
             table = [(v, c) for v in s for c in colors]
-            for x, pick in templates:
+            for pick in templates:
                 # every monomial has exactly d pairs
-                yield ("P", s, x, tuple(zip(*[iter(pick(table))] * d)))
+                yield tuple(zip(*[iter(pick(table))] * d))
     # kind Q: forbid neighborhood palettes that leave no room for the class
     # clique in the target.
     for k in range(1, min(d, len(neighborhood)) + 1):
@@ -149,7 +151,31 @@ def iter_class_constraint_keys(
             continue
         for s in itertools.combinations(neighborhood, k):
             for x in seqs:
-                yield ("Q", s, x, (tuple(zip(s, x)),))
+                yield (tuple(zip(s, x)),)
+
+
+def class_row_count(h: PatternGraph, class_size: int, nbhd_size: int) -> int:
+    """The number of rows ``iter_class_constraint_keys`` yields for a class
+    with ``nbhd_size`` neighbours, without building any."""
+    d = h.max_degree
+    total = math.comb(nbhd_size, d + 1) * math.comb(h.num_colors - 1, d)
+    for k in range(1, min(d, nbhd_size) + 1):
+        total += math.comb(nbhd_size, k) * len(color_sequences(h, class_size, k))
+    return total
+
+
+def monomial_size(h: PatternGraph, class_size: int, nbhd_size: int) -> int:
+    """The largest vertex-set size k of a monomial in a class's rows (0: no
+    rows); every k-subset of the neighborhood is one. Kind-P monomials are
+    the Delta-subsets once |N| > Delta, and a k-subset is a kind-Q
+    monomial for every k <= |N| with a color sequence."""
+    d = h.max_degree
+    if nbhd_size > d:
+        return d
+    k = nbhd_size
+    while k and not color_sequences(h, class_size, k):
+        k -= 1
+    return k
 
 
 def constraint_count_bound(n: int, h: PatternGraph) -> int:

@@ -248,30 +248,27 @@ def min_twin_cover(g: Graph, guard: int | None = 30) -> frozenset[int]:
         greedy.add(pick)
         left = [e for e in left if pick not in e]
 
-    best: list = [len(greedy), frozenset(greedy)]
+    return _extend_cover(edges, 0, set(), frozenset(greedy))
 
-    def branch(start: int, chosen: set[int]) -> None:
-        if len(chosen) >= best[0]:
-            return
-        idx = start
-        while idx < len(edges):
-            u, v = edges[idx]
-            if u not in chosen and v not in chosen:
-                break
-            idx += 1
-        else:
-            best[0], best[1] = len(chosen), frozenset(chosen)
-            return
+
+def _extend_cover(edges: list[tuple[int, int]], start: int, chosen: set[int],
+                  best: frozenset[int]) -> frozenset[int]:
+    """The smaller of best and the smallest cover extending ``chosen`` by
+    an endpoint of each uncovered edge in ``edges[start:]`` (best wins
+    ties); module-level, like ``_grow_clique``, so it leaves no cycle."""
+    if len(chosen) >= len(best):
+        return best
+    for idx in range(start, len(edges)):
         u, v = edges[idx]
-        chosen.add(u)
-        branch(idx + 1, chosen)
-        chosen.discard(u)
-        chosen.add(v)
-        branch(idx + 1, chosen)
-        chosen.discard(v)
-
-    branch(0, set())
-    return best[1]
+        if u not in chosen and v not in chosen:
+            break
+    else:
+        return frozenset(chosen)
+    for w in (u, v):
+        chosen.add(w)
+        best = _extend_cover(edges, idx + 1, chosen, best)
+        chosen.discard(w)
+    return best
 
 
 def _bipartition(g: Graph) -> bool:

@@ -42,14 +42,13 @@ scratch after every application. Only the work per application is less:
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .constraints import color_sequences, iter_class_constraint_keys
+from .constraints import class_row_count, iter_class_constraint_keys, monomial_size
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
 from .graphs import Graph, PatternGraph, twin_decomposition
 
@@ -235,7 +234,7 @@ class _SpanEngine:
     than p1 and p2. When no such c exists, no sum of source rows has that
     monomial, while the target row that holds it has it with coefficient
     1: the test fails. The vertex sets follow from the shape of the rows
-    (``_monomial_size``): every k-subset of N(p1) for the largest size k,
+    (``monomial_size``): every k-subset of N(p1) for the largest size k,
     and subsets of those. A superset of an uncovered set that meets p2 is
     uncovered and meets p2 too, so only the k-subsets are tried.
 
@@ -258,52 +257,28 @@ class _SpanEngine:
         return min(class_size, self.h.clique_number + 1)
 
     def estimate_rows(self, class_size: int, nbhd_size: int) -> int:
-        """Exact row count for a class, without materializing anything."""
+        """Exact row count for a class (``class_row_count``), memoized."""
         key = (self._cap(class_size), nbhd_size)
         total = self._estimates.get(key)
-        if total is not None:
-            return total
-        d = self.h.max_degree
-        total = 0
-        if nbhd_size >= d + 1:
-            total += math.comb(nbhd_size, d + 1) * math.comb(self.h.num_colors, d + 1)
-        for k in range(1, min(d, nbhd_size) + 1):
-            total += math.comb(nbhd_size, k) * len(color_sequences(self.h, class_size, k))
-        self._estimates[key] = total
+        if total is None:
+            total = self._estimates[key] = class_row_count(self.h, key[0], nbhd_size)
         return total
 
     def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
-        """The distinct row bitmasks of a class, in increasing order.
-
-        Identical rows span nothing more, so only one of each is kept; how
-        many rows the family has is ``estimate_rows``, which is exact.
-        """
+        """The row bitmasks of a class, in increasing order: as many as
+        ``estimate_rows`` counts, since the generator yields no row twice."""
         key = (self._cap(class_size), neighborhood)
         got = self._rows.get(key)
         if got is None:
             ids = self.interner   # indexing interns an unseen key
-            masks = set()
-            for _kind, _s, _x, keys in iter_class_constraint_keys(
-                    self.h, key[0], tuple(sorted(neighborhood))):
+            masks = []
+            for keys in iter_class_constraint_keys(self.h, key[0], tuple(sorted(neighborhood))):
                 mask = 0
                 for mk in keys:
                     mask |= 1 << ids[mk]
-                masks.add(mask)
+                masks.append(mask)
             got = self._rows[key] = tuple(sorted(masks))
         return got
-
-    def _monomial_size(self, class_size: int, nbhd_size: int) -> int:
-        """The largest vertex-set size k of a monomial in a class's rows
-        (0: no rows); every k-subset of the neighborhood is one. Kind-P
-        monomials are the Delta-subsets once |N| > Delta, and a k-subset
-        is a kind-Q monomial for every k <= |N| with a color sequence."""
-        d = self.h.max_degree
-        if nbhd_size > d:
-            return d
-        k = nbhd_size
-        while k and not color_sequences(self.h, class_size, k):
-            k -= 1
-        return k
 
     def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
         """The neighborhood certificate of a failing test (class docstring):
@@ -313,7 +288,7 @@ class _SpanEngine:
         nbhd = tc.nbhd
         n1 = nbhd[a1]
         covers = None
-        for t in combinations(n1, self._monomial_size(len(tc.members[a1]), len(n1))):
+        for t in combinations(n1, monomial_size(self.h, len(tc.members[a1]), len(n1))):
             if p2.isdisjoint(t):
                 continue   # p1's reduced rows may hold it
             if covers is None:

@@ -324,7 +324,7 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 # The restart-everything driver that ``kernelize`` replaced, kept as the
 # differential oracle: after every rule application it recomputes the twin
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
-# It shares ``_SpanEngine`` with the library: the distinct row masks
+# It shares ``_SpanEngine`` with the library: the row masks
 # (``class_rows``), the row estimate that ranks the pairs and the monomial
 # interner. So it checks the driver and cannot catch a row-generation bug;
 # ``reference_class_constraint_keys`` is the oracle for that. It counts

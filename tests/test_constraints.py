@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from hckernel.constraints import (
     build_coloring_polynomial,
+    class_row_count,
     constraint_count_bound,
     evaluate,
     iter_class_constraint_keys,
+    monomial_size,
 )
 from hckernel.formats import resolve_pattern
 from hckernel.graphs import Graph, PatternGraph, twin_decomposition
@@ -44,7 +46,8 @@ def mono(*pairs):
 
 
 def class_rows(g, h, cls):
-    """The (kind, s, x, keys) rows of one twin class of g."""
+    """The rows of one twin class of g, as tuples of monomial keys. A
+    kind-Q row is one monomial, a kind-P row (Delta+1)! of them."""
     nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
     return list(iter_class_constraint_keys(h, len(cls), nbhd))
 
@@ -83,8 +86,13 @@ class TestColoringPolynomial:
 
     def test_monomial_count_is_q_factorial(self):
         for q in range(1, 6):
-            import math
             assert len(build_coloring_polynomial(q)) == math.factorial(q)
+
+    def test_last_column_never_occurs(self):
+        # kind-P rows are indexed by Delta colors because of this
+        for q in range(1, 6):
+            p = build_coloring_polynomial(q)
+            assert {k for key in p for _i, k in key} == set(range(1, q)), q
 
     def test_rejects_q0(self):
         with pytest.raises(ValueError):
@@ -120,24 +128,23 @@ class TestClassConstraints:
         # whose clique number 2 is not below a class size of 1
         g = Graph.from_edges(2, [(0, 1)])
         rows = class_rows(g, K3, {0})
-        assert [row for row in rows if row[0] == "Q"] == []
+        assert [row for row in rows if len(row) == 1] == []
 
     def test_type_q_added_for_large_class(self):
         # a size-3 class forces every single-colored neighbour constraint:
         # no color's neighborhood contains a triangle
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        q_rows = [(s, x, keys) for kind, s, x, keys in class_rows(g, K3, {1, 2, 3})
-                  if kind == "Q" and len(s) == 1]
-        assert {(s, x) for s, x, _keys in q_rows} == {((0,), (c,)) for c in K3.color_ids}
-        for _s, x, keys in q_rows:
-            assert keys == (mono((0, x[0])),)
+        q_rows = [row for row in class_rows(g, K3, {1, 2, 3})
+                  if len(row) == 1 and len(row[0]) == 1]
+        assert q_rows == [(mono((0, c)),) for c in K3.color_ids]
 
     def test_star_center_single_type_p(self):
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         pi = twin_decomposition(g)
         by_owner = {cls: class_rows(g, K3, cls) for cls in pi}
         center = by_owner[frozenset({0})]
-        assert len(center) == 1 and center[0][0] == "P"
+        assert len(center) == 1
+        assert len(center[0]) == math.factorial(K3.max_degree + 1)
         for leaf in ({1}, {2}, {3}):
             assert len(by_owner[frozenset(leaf)]) == 0
 
@@ -157,7 +164,7 @@ class TestClassConstraints:
             for _ in range(15):
                 g = random_graph(rng.randint(2, 7), 0.5, rng)
                 for cls in twin_decomposition(g):
-                    for _kind, _s, _x, keys in class_rows(g, h, cls):
+                    for keys in class_rows(g, h, cls):
                         assert all(len(key) <= h.max_degree for key in keys)
 
     def test_constraints_only_mention_open_neighborhood(self):
@@ -167,7 +174,7 @@ class TestClassConstraints:
             pi = twin_decomposition(g)
             for cls in pi:
                 nbhd = g.neighborhood_of_set(cls)
-                for _kind, _s, _x, keys in class_rows(g, K3, cls):
+                for keys in class_rows(g, K3, cls):
                     for key in keys:
                         assert {v for v, _c in key} <= nbhd
 
@@ -194,7 +201,7 @@ class TestColoringsSatisfyConstraints:
         graphs.append(Graph.from_edges(9, [(i, (i + 1) % 9) for i in range(9)]))
         for g in graphs:
             rows = [keys for cls in twin_decomposition(g)
-                    for _kind, _s, _x, keys in class_rows(g, h, cls)]
+                    for keys in class_rows(g, h, cls)]
             for coloring in itertools.islice(enumerate_h_colorings(g, h.graph), 200):
                 assign = indicator_of(coloring)
                 for keys in rows:
@@ -218,7 +225,7 @@ class TestColoringsSatisfyConstraints:
                 g = random_graph(rng.randint(2, 6), rng.choice([0.4, 0.7]), rng)
                 pi = twin_decomposition(g)
                 for cls in pi:
-                    rows = [keys for _kind, _s, _x, keys in class_rows(g, h, cls)]
+                    rows = class_rows(g, h, cls)
                     rest = g.without_vertices(cls)
                     for coloring in itertools.islice(
                             enumerate_h_colorings(rest, h.graph), 120):
@@ -240,9 +247,14 @@ def row_cases(h):
             yield size, m
 
 
+def reference_rows(h, size, nbhd):
+    """The reference's rows in order, each at its first occurrence."""
+    return list(dict.fromkeys(keys for *_, keys in reference_class_constraint_keys(h, size, nbhd)))
+
+
 class TestRowPieces:
-    """The relabelled per-pattern pieces yield exactly the rows that
-    deriving every row afresh yields."""
+    """The relabelled per-pattern pieces yield exactly the distinct rows
+    that deriving every row afresh yields, in the same order."""
 
     @pytest.mark.parametrize("name", ROW_PATTERNS)
     def test_generator_matches_reference(self, name):
@@ -251,7 +263,7 @@ class TestRowPieces:
         for size, m in row_cases(h):
             nbhd = tuple(sorted(rng.sample(range(60), m)))
             assert list(iter_class_constraint_keys(h, size, nbhd)) == \
-                list(reference_class_constraint_keys(h, size, nbhd)), (size, nbhd)
+                reference_rows(h, size, nbhd), (size, nbhd)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(ROW_PATTERNS).flatmap(lambda name: st.tuples(
@@ -266,28 +278,30 @@ class TestRowPieces:
         h = ROW_TARGETS[name]
         nbhd = tuple(sorted(ids))
         assert list(iter_class_constraint_keys(h, size, nbhd)) == \
-            list(reference_class_constraint_keys(h, size, nbhd))
+            reference_rows(h, size, nbhd)
 
     @pytest.mark.parametrize("name", ROW_PATTERNS)
     def test_estimate_is_exact_row_count(self, name):
-        # the pair ranking orders classes by this estimate
+        # the pair ranking orders classes by this estimate; the reference
+        # counts its distinct rows without the generator it sizes
         h = resolve_pattern(name)
         engine = _SpanEngine(h, KernelStats())
         for size, m in row_cases(h):
-            assert engine.estimate_rows(size, m) == row_count(h, size, frozenset(range(m))), (size, m)
+            distinct = {keys for *_, keys in reference_class_constraint_keys(h, size, tuple(range(m)))}
+            assert engine.estimate_rows(size, m) == class_row_count(h, size, m) == \
+                row_count(h, size, frozenset(range(m))) == len(distinct), (size, m)
 
     @pytest.mark.parametrize("name", ROW_PATTERNS)
     def test_largest_monomial_vertex_sets(self, name):
         # the span test's neighborhood certificate tries only the subsets
         # of this size; every smaller vertex set lies in one of them
         h = resolve_pattern(name)
-        engine = _SpanEngine(h, KernelStats())
         for size, m in row_cases(h):
             nbhd = tuple(range(m))
             sets = {frozenset(v for v, _c in key)
-                    for *_row, keys in iter_class_constraint_keys(h, size, nbhd)
+                    for keys in iter_class_constraint_keys(h, size, nbhd)
                     for key in keys}
-            k = engine._monomial_size(size, m)
+            k = monomial_size(h, size, m)
             assert k == max(map(len, sets), default=0), (size, m)
             if sets:
                 assert {t for t in sets if len(t) == k} == \
@@ -310,7 +324,7 @@ class TestRowPieceMemo:
         # so the first row is kind Q once no template was needed
         h = resolve_pattern("K9")
         rows = iter_class_constraint_keys(h, 9, tuple(range(8)))
-        assert next(rows) == ("Q", (0,), (0,), (((0, 0),),))
+        assert next(rows) == (((0, 0),),)
         assert h._selector_memo is None
         assert list(h._sequence_memo) == [9]
         assert len(h._sequence_memo[9]) == 1
@@ -323,4 +337,4 @@ class TestRowPieceMemo:
                 kernelize(random_graph(rng.randint(6, 10), 0.5, rng), h)
             assert 1 <= len(h._sequence_memo) <= h.clique_number + 1
             assert all(len(lists) <= h.max_degree for lists in h._sequence_memo.values())
-            assert len(h._selector_memo) == math.comb(h.num_colors, h.max_degree + 1)
+            assert len(h._selector_memo) == math.comb(h.num_colors - 1, h.max_degree)

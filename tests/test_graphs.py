@@ -198,6 +198,18 @@ class TestPatternAnalyze:
             gc.enable()
         assert sizes == [2] * 20
 
+    def test_twin_cover_leaves_no_cycles(self):
+        # the branch and bound is freed by reference counting alone
+        g = cycle(5)
+        gc.collect()
+        gc.disable()
+        try:
+            covers = [min_twin_cover(g) for _ in range(20)]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert covers == [frozenset({0, 2, 3})] * 20
+
     def test_omega_of_induced_subsets(self):
         p = PatternGraph(triangle())
         assert p.omega_of(frozenset({0, 1})) == 2

@@ -147,7 +147,7 @@ def small_graphs(draw, max_n=12):
 
 def class_key_rows(g, h, cls):
     nbhd = tuple(sorted(g.neighborhood_of_set(cls)))
-    return [keys for _kind, _s, _x, keys in iter_class_constraint_keys(h, len(cls), nbhd)]
+    return list(iter_class_constraint_keys(h, len(cls), nbhd))
 
 
 def oracle_rows(g, h, pi, p1, p2, rows=None):
