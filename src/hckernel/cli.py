@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -37,21 +36,17 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _cover_guard() -> int | None:
-    env = os.environ.get("HCKERNEL_COVER_GUARD")
-    return int(env) if env else 30
-
-
 def _cmd_kernelize(args) -> int:
     g = formats.parse_graph(_read(args.graph))
     h = formats.resolve_pattern(args.pattern)
     result = kernelization.kernelize(g, h)
     stats = result.stats.to_dict()
     if args.with_cover:
-        # optional extra; a guard refusal must not lose the kernel output
+        # optional extra; a guard refusal or a malformed guard must not
+        # lose the kernel output
         try:
-            k = len(min_twin_cover(g, guard=_cover_guard()))
-        except CapacityError as exc:
+            k = len(min_twin_cover(g, guard=oracle._env_guard("HCKERNEL_COVER_GUARD", 30)))
+        except (CapacityError, ValueError) as exc:
             print(f"warning: {exc} (set HCKERNEL_COVER_GUARD to raise)",
                   file=sys.stderr)
             stats["cover"] = {"error": str(exc)}

@@ -156,18 +156,8 @@ class _InstanceBuilder:
     def add_edge(self, u: int, v: int) -> None:
         self.edges.append((u, v))
 
-    def graft(self, gadget: BlockingGadget, label: str) -> tuple[int, ...]:
-        """Copy a gadget in with fresh ids; returns the relocated ports."""
-        offset = len(self.lists)
-        ginst = gadget.instance
-        for v in ginst.graph.vertices:
-            self.add_vertex(ginst.lists[v], f"{label}:{ginst.graph.label_of(v)}")
-        for u, v in ginst.graph.edges():
-            self.add_edge(offset + u, offset + v)
-        return tuple(offset + p for p in gadget.ports)
-
     def build(self) -> ListColoringInstance:
-        g = Graph.from_edges(len(self.lists), self.edges, dict(self.labels))
+        g = Graph.from_edges(len(self.lists), self.edges, self.labels)
         return ListColoringInstance(g, {v: self.lists[v] for v in g.vertices})
 
 
@@ -187,32 +177,38 @@ def build_blocking_gadget(c: Sequence[int]) -> BlockingGadget:
     matches. 6m+1 vertices or fewer.
     """
     target = tuple(c)
-    m = len(target)
-    if m == 0:
+    if not target:
         raise ValueError("gadget needs at least one port")
     if any(ci not in (1, 2, 3) for ci in target):
         raise ValueError(f"target colors must be in 1..3: {target}")
     b = _InstanceBuilder()
-    ports = tuple(b.add_vertex(COLORS, f"pi{i+1}") for i in range(m))
-    chain = [b.add_vertex({3}, "r0")]
+    ports = _write_gadget(b, target, "")
+    return BlockingGadget(b.build(), ports, target)
+
+
+def _write_gadget(b: _InstanceBuilder, target: tuple[int, ...], prefix: str) -> tuple[int, ...]:
+    """Add the gadget for a checked target to b, each label prefixed; returns its ports."""
+    m = len(target)
+    ports = tuple(b.add_vertex(COLORS, f"{prefix}pi{i+1}") for i in range(m))
+    chain = [b.add_vertex({3}, f"{prefix}r0")]
     for i in range(1, m):
-        chain.append(b.add_vertex({2, 3}, f"r{i}"))
-    chain.append(b.add_vertex({2}, f"r{m}"))
+        chain.append(b.add_vertex({2, 3}, f"{prefix}r{i}"))
+    chain.append(b.add_vertex({2}, f"{prefix}r{m}"))
     for i, ci in enumerate(target):
         sig = ci if ci in (2, 3) else 2
-        flag = b.add_vertex({1, sig}, f"b{i+1}")
+        flag = b.add_vertex({1, sig}, f"{prefix}b{i+1}")
         for a in sorted({1, 2, 3} - {ci}):
             if a == sig:
                 b.add_edge(ports[i], flag)
             else:
-                det = b.add_vertex({a, sig}, f"w{i+1}c{a}")
+                det = b.add_vertex({a, sig}, f"{prefix}w{i+1}c{a}")
                 b.add_edge(ports[i], det)
                 b.add_edge(det, flag)
-        guard = b.add_vertex(COLORS, f"g{i+1}")
+        guard = b.add_vertex(COLORS, f"{prefix}g{i+1}")
         b.add_edge(guard, chain[i])
-        b.add_edge(guard, flag)
         b.add_edge(guard, chain[i + 1])
-    return BlockingGadget(b.build(), ports, target)
+        b.add_edge(guard, flag)
+    return ports
 
 
 def gadget_extends(gadget: BlockingGadget, port_colors: Sequence[int]) -> bool:
@@ -282,13 +278,12 @@ def compose(inputs: Sequence[TriangleSplitInstance]) -> tuple[ListColoringInstan
     vertices = dict(counts)
 
     def place(step: int, key: tuple, target: tuple[int, ...], attach: tuple[int, ...]) -> None:
-        gadget = build_blocking_gadget(target)
-        name = f"gadget{step}{list(key)}"
-        ports = b.graft(gadget, name)
+        before = len(b.lists)
+        ports = _write_gadget(b, target, f"gadget{step}{list(key)}:")
         for port, outside in zip(ports, attach):
             b.add_edge(port, outside)
         counts[step] += 1
-        vertices[step] += gadget.size
+        vertices[step] += len(b.lists) - before
 
     # steps 5 and 6: forbid the all-2 coloring of each selector row
     place(5, (), (2,) * q, tuple(a_ids[i] for i in range(1, q + 1)))

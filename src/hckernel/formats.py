@@ -8,10 +8,10 @@ Graph grammar (one directive per line, blank lines ignored):
     e <u> <v>              edge with 1-based endpoints in 1..n
 
 A comment is a label when its second token is "label" and its third an
-integer; the id must lie in 1..n and be labelled at most once. A vertex
-without a label is named by its id. Duplicate edge lines collapse;
-self-loops are rejected. The declared edge count is advisory (duplicates
-may make it disagree) and is not enforced.
+integer; it must name the vertex, whose id must lie in 1..n and be
+labelled at most once. A vertex without a label is named by its id.
+Duplicate edge lines collapse; self-loops are rejected. The declared edge
+count is advisory (duplicates may make it disagree) and is not enforced.
 Triangle-split instances use the same shape with a ``p tsd <m> <n>``
 header and cross edges ``e <u> <v>`` where u indexes the independent side
 (1..m) and v the triangle side (1..3n).
@@ -48,9 +48,11 @@ def _directive_lines(text: str, labels: dict[int, tuple[int, str]] | None):
                 i = int(parts[2])
             except ValueError:
                 continue   # free text
+            if len(parts) == 3:
+                raise ParseError(line_no, "label without a name")
             if i in labels:
                 raise ParseError(line_no, f"vertex {i} labelled twice")
-            labels[i] = (line_no, "".join(raw.split(None, 3)[3:]).rstrip())
+            labels[i] = (line_no, raw.split(None, 3)[3].rstrip())
 
 
 def _parse_edge_list(text: str, kind: str, sizes: str,

@@ -96,15 +96,6 @@ class Graph:
             out |= self.adj[v]
         return frozenset(out - s)
 
-    def edges_between(self, a: Iterable[int], b: Iterable[int]) -> frozenset[tuple[int, int]]:
-        """Edges with one endpoint in a and the other in b, as sorted pairs."""
-        a, b = frozenset(a), frozenset(b)
-        out = set()
-        for u in a:
-            for v in self.adj[u] & b:
-                out.add((min(u, v), max(u, v)))
-        return frozenset(out)
-
     def without_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         drop: dict[int, set[int]] = {}
         for u, v in edges:

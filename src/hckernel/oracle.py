@@ -6,8 +6,8 @@ homomorphism existence gives each host vertex all of V(H), and the
 These are desk-scale exact solvers guarded by configurable vertex limits;
 they exist to validate the kernelization and the instance composition,
 never to compete with real coloring solvers. Guards can be overridden via
-the HCKERNEL_SOLVE_GUARD environment variable (an integer) or by passing
-``guard=None`` for no limit.
+the HCKERNEL_SOLVE_GUARD environment variable (a non-negative integer) or
+by passing ``guard=None`` for no limit.
 """
 
 from __future__ import annotations
@@ -28,6 +28,16 @@ LIST_COLORING_GUARD = 24
 _K3_BAD = {c: (c,) for c in (1, 2, 3)}
 
 
+def _env_guard(name: str, default: int) -> int:
+    """The vertex guard that environment variable ``name`` sets, else
+    ``default``; a set value that is not a non-negative integer raises
+    ValueError naming the variable."""
+    env = os.environ.get(name, "").strip()
+    if env and not env.isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {env!r}")
+    return int(env) if env else default
+
+
 def _check_guard(guard, default: int, n: int, what: str) -> None:
     """Raise CapacityError when n exceeds the resolved guard.
 
@@ -35,8 +45,7 @@ def _check_guard(guard, default: int, n: int, what: str) -> None:
     HCKERNEL_SOLVE_GUARD environment variable, then ``default``.
     """
     if guard is _UNSET:
-        env = os.environ.get("HCKERNEL_SOLVE_GUARD")
-        guard = int(env) if env else default
+        guard = _env_guard("HCKERNEL_SOLVE_GUARD", default)
     if guard is not None and n > guard:
         raise CapacityError(f"{what} guard exceeded: {n} > {guard} vertices")
 

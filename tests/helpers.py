@@ -36,6 +36,16 @@ def all_labeled_graphs(n: int):
         yield Graph.from_edges(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
 
 
+def edges_between(g: Graph, a, b) -> frozenset[tuple[int, int]]:
+    """Edges of g with one endpoint in a and the other in b, as sorted pairs."""
+    a, b = frozenset(a), frozenset(b)
+    out = set()
+    for u in a:
+        for v in g.adj[u] & b:
+            out.add((min(u, v), max(u, v)))
+    return frozenset(out)
+
+
 def brute_twin_classes(g: Graph) -> set[frozenset[int]]:
     """Group vertices by closed neighborhoods, comparing all pairs directly."""
     closed = {v: g.adj[v] | {v} for v in g.vertices}
@@ -360,7 +370,7 @@ def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bo
 
 
 def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
-    removed = g.edges_between(p1, p2)
+    removed = edges_between(g, p1, p2)
     if not removed:
         return None
     stats = engine.stats
@@ -460,7 +470,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
             stats.removed_vertices += work.n - reduced.n
             stats.removed_edges += work.m - reduced.m
             record(AppliedRule("rule3", isolated, removed_vertices=isolated,
-                               removed_edges=work.edges_between(isolated, isolated)),
+                               removed_edges=edges_between(work, isolated, isolated)),
                    reduced)
             work = reduced
             continue
@@ -470,7 +480,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
                 stats.rule2 += 1
                 stats.removed_edges += work.m - reduced.m
                 record(AppliedRule("rule2", p1, p2,
-                                   removed_edges=work.edges_between(p1, p2)), reduced)
+                                   removed_edges=edges_between(work, p1, p2)), reduced)
                 work = reduced
                 break
         else:

@@ -1,6 +1,7 @@
 """Blocking gadgets, the grid composition, and the plain-coloring conversion."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -210,3 +211,45 @@ class TestCompose:
         s4 = sum(t4["vertex_terms"][k] for k in t4["sqrt_t_proportional_terms"])
         s16 = sum(t16["vertex_terms"][k] for k in t16["sqrt_t_proportional_terms"])
         assert 1.9 <= s16 / s4 <= 2.1
+
+    @pytest.mark.parametrize("t", [4, 9])
+    def test_each_placed_gadget_is_the_standalone_gadget(self, t):
+        # every vertex labelled "<gadget>:<name>" belongs to one placement;
+        # matched by name, each placement has the standalone gadget's lists
+        # and edges, and only its ports reach outside, each to its attach
+        # vertex
+        inst, layout = compose([generate_tsd_instance(2, 2, 0.4, seed) for seed in range(t)])
+        g, q = inst.graph, layout.q
+        by_label = {g.label_of(v): v for v in g.vertices}
+        groups: dict[str, dict[str, int]] = {}
+        for v in g.vertices:
+            prefix, sep, name = g.label_of(v).partition(":")
+            if sep:
+                groups.setdefault(prefix, {})[name] = v
+        assert len(groups) == sum(layout.gadget_counts.values())
+        for prefix, ids in groups.items():
+            step, key = int(prefix[6]), json.loads(prefix[7:])
+            if step in (5, 6):
+                target = (2,) * q
+                row = "a" if step == 5 else "b"
+                attach = [by_label[f"{row}[{i}]"] for i in range(1, q + 1)]
+            elif step == 7:
+                i, l, k, c1, c2 = key
+                target = (c1, c2, 1)
+                attach = [layout.s_ids[(i, k, l)], layout.s_ids[(i, k + 1, l)],
+                          by_label[f"a[{i}]"]]
+            else:
+                j, k, *trip = key
+                target = (*trip, 1)
+                attach = [layout.t_ids[(j, 3 * k - 2)], layout.t_ids[(j, 3 * k - 1)],
+                          layout.t_ids[(j, 3 * k)], by_label[f"b[{j}]"]]
+            gadget = build_blocking_gadget(target)
+            gg = gadget.instance.graph
+            local = {ids[gg.label_of(u)]: u for u in gg.vertices}
+            assert len(local) == len(ids)
+            assert {local[v]: inst.lists[v] for v in local} == gadget.instance.lists
+            assert {tuple(sorted((local[v], local[w])))
+                    for v in local for w in g.adj[v] if w in local} == set(gg.edges())
+            outside = {local[v]: g.adj[v] - local.keys() for v in local}
+            assert outside == {u: ({attach[gadget.ports.index(u)]} if u in gadget.ports
+                                   else set()) for u in gg.vertices}

@@ -104,6 +104,11 @@ class TestEmitGraph:
         with pytest.raises(ParseError, match="line 1: label id out of range"):
             parse_graph("c label 0 a\np edge 2 0\n")
 
+    def test_label_without_name(self):
+        for text in ("p edge 3 1\nc label 2\ne 1 2\n", "p edge 3 1\nc label 2 \t\ne 1 2\n"):
+            with pytest.raises(ParseError, match="line 2: label without a name"):
+                parse_graph(text)
+
     def test_label_twice(self):
         with pytest.raises(ParseError, match="line 3: vertex 1 labelled twice"):
             parse_graph("p edge 2 0\nc label 1 a\nc label 1 b\n")
@@ -263,6 +268,32 @@ class TestCli:
         assert "error" in payload["cover"]
         assert "guard" in capsys.readouterr().err
 
+    def test_kernelize_malformed_cover_guard_keeps_kernel(self, tmp_path, capsys, monkeypatch):
+        # a malformed guard on the optional cover is reported like a guard
+        # refusal, naming the variable, and the kernel is still written
+        monkeypatch.setenv("HCKERNEL_COVER_GUARD", "abc")
+        graph_file = tmp_path / "g.col"
+        graph_file.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        out = tmp_path / "k.col"
+        stats = tmp_path / "stats.json"
+        code = cli.main(["kernelize", "--graph", str(graph_file), "--pattern", "K3",
+                         "--out", str(out), "--stats", str(stats), "--with-cover"])
+        assert code == 0
+        assert out.read_text() == "p edge 0 0\n"
+        message = "HCKERNEL_COVER_GUARD must be a non-negative integer, got 'abc'"
+        assert json.loads(stats.read_text())["cover"] == {"error": message}
+        assert f"warning: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", "-1"])
+    def test_solve_malformed_guard_fails_naming_it(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", value)
+        graph_file = tmp_path / "g.col"
+        graph_file.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        assert cli.main(["solve", "--graph", str(graph_file),
+                         "--pattern", "K3"]) == cli.EXIT_FAILURE
+        assert (f"error: HCKERNEL_SOLVE_GUARD must be a non-negative integer, got {value!r}"
+                in capsys.readouterr().err)
+
     def test_solve(self, tmp_path, capsys):
         graph_file = tmp_path / "c5.col"
         graph_file.write_text("p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
@@ -336,6 +367,13 @@ class TestCli:
         assert cli.main(["kernelize", "--graph", str(bad),
                          "--pattern", "K3"]) == cli.EXIT_FAILURE
         assert "self-loop" in capsys.readouterr().err
+
+    def test_label_without_name_fails_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.col"
+        bad.write_text("p edge 3 1\nc label 2\ne 1 2\n")
+        assert cli.main(["solve", "--graph", str(bad), "--pattern", "K3",
+                         "--witness"]) == cli.EXIT_FAILURE
+        assert "error: line 2: label without a name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ("p tsd 1 1\ne 1 x\n", "line 2: non-integer endpoints"),

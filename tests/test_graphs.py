@@ -22,6 +22,7 @@ from helpers import (
     brute_min_twin_cover_size,
     brute_minimal_twin_covers,
     brute_twin_classes,
+    edges_between,
     petersen_edges,
     random_graph,
 )
@@ -70,7 +71,7 @@ class TestGraph:
 
     def test_edges_between(self):
         g = clique(4)
-        assert g.edges_between({0, 1}, {2}) == {(0, 2), (1, 2)}
+        assert edges_between(g, {0, 1}, {2}) == {(0, 2), (1, 2)}
 
 
 class TestTwinDecomposition:
