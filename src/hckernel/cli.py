@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from . import composer, formats, kernelization, oracle
-from .graphs import CapacityError, PatternError, min_twin_cover, twin_decomposition
+from .graphs import (TWIN_COVER_GUARD, CapacityError, PatternError, min_twin_cover,
+                     twin_decomposition)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -45,7 +46,8 @@ def _cmd_kernelize(args) -> int:
         # optional extra; a guard refusal or a malformed guard must not
         # lose the kernel output
         try:
-            k = len(min_twin_cover(g, guard=oracle._env_guard("HCKERNEL_COVER_GUARD", 30)))
+            guard = oracle._env_guard("HCKERNEL_COVER_GUARD", TWIN_COVER_GUARD)
+            k = len(min_twin_cover(g, guard=guard))
         except (CapacityError, ValueError) as exc:
             print(f"warning: {exc} (set HCKERNEL_COVER_GUARD to raise)",
                   file=sys.stderr)

@@ -28,7 +28,8 @@ class Graph:
     ``vertices`` is a strictly increasing tuple of ids; ``adj`` maps every
     vertex to the frozenset of its neighbours. Self-loops are rejected.
     ``labels`` optionally carries original external names for output
-    fidelity; it is ignored by equality-sensitive algorithms.
+    fidelity; it is ignored by equality-sensitive algorithms. A vertex
+    without a label is named by its 1-based id, as in graph files.
     """
 
     vertices: tuple[int, ...]
@@ -116,7 +117,7 @@ class Graph:
     def label_of(self, v: int) -> str:
         if self.labels is not None and v in self.labels:
             return self.labels[v]
-        return str(v)
+        return str(v + 1)
 
     def is_subgraph_of(self, other: "Graph") -> bool:
         return (set(self.vertices) <= set(other.vertices)
@@ -212,7 +213,10 @@ def is_twin_cover(g: Graph, s: Iterable[int]) -> bool:
     return all(u in s or v in s for u, v in _non_twin_edges(g))
 
 
-def min_twin_cover(g: Graph, guard: int | None = 30) -> frozenset[int]:
+TWIN_COVER_GUARD = 30
+
+
+def min_twin_cover(g: Graph, guard: int | None = TWIN_COVER_GUARD) -> frozenset[int]:
     """Exact minimum twin-cover by branch and bound: a smallest vertex set
     meeting every edge whose endpoints are not true twins.
 

@@ -45,8 +45,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .constraints import class_row_count, iter_class_constraint_keys, monomial_size
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
@@ -154,11 +155,10 @@ class _TwinClasses:
         self.members: dict[int, frozenset[int]] = {}
         self.nbhd: dict[int, frozenset[int]] = {}
         self.class_of: dict[int, int] = {}
-        self._est: dict[int, int] = {}
         self._by_closed: dict[frozenset[int], int] = {}
         for cls in classes:
             self._put(cls, g.neighborhood_of_set(cls))
-        self.ranked = sorted((est, anchor) for anchor, est in self._est.items())
+        self.ranked = sorted(map(self.entry, self.members))
 
     def _put(self, cls: frozenset[int], nbhd: frozenset[int]) -> int:
         anchor = min(cls)
@@ -167,8 +167,11 @@ class _TwinClasses:
         self._by_closed[nbhd | cls] = anchor
         for v in cls:
             self.class_of[v] = anchor
-        self._est[anchor] = self._estimate(len(cls), len(nbhd))
         return anchor
+
+    def entry(self, anchor: int) -> tuple[int, int]:
+        """The class's entry in ``ranked``."""
+        return self._estimate(len(self.members[anchor]), len(self.nbhd[anchor])), anchor
 
     def add(self, cls: frozenset[int], nbhd: frozenset[int]) -> int:
         """Insert a class of mutual twins, merging it with the class of the
@@ -180,27 +183,18 @@ class _TwinClasses:
             self.drop(twin)
             nbhd = closed - cls
         anchor = self._put(cls, nbhd)
-        insort(self.ranked, (self._est[anchor], anchor))
+        insort(self.ranked, self.entry(anchor))
         return anchor
 
     def drop(self, anchor: int) -> frozenset[int]:
         """Remove a class and return its members."""
+        ranked = self.ranked
+        del ranked[bisect_left(ranked, self.entry(anchor))]
         cls = self.members.pop(anchor)
         del self._by_closed[self.nbhd.pop(anchor) | cls]
         for v in cls:
             del self.class_of[v]
-        ranked = self.ranked
-        del ranked[bisect_left(ranked, (self._est.pop(anchor), anchor))]
         return cls
-
-    def reranked(self, estimates: Mapping[int, int]) -> list[tuple[int, int]]:
-        """A copy of ``ranked`` with the given classes' estimates replaced."""
-        out = list(self.ranked)
-        for anchor in estimates:
-            del out[bisect_left(out, (self._est[anchor], anchor))]
-        for anchor, est in estimates.items():
-            insort(out, (est, anchor))
-        return out
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Ordered class pairs joined by an edge, as anchors.
@@ -221,10 +215,9 @@ class _TwinClasses:
 class _SpanEngine:
     """Shared interner plus per-neighborhood row cache for rule 2 tests.
 
-    Rows depend only on (class size capped at omega(H)+1, open
-    neighborhood), so repeated tests across the run reuse the cached
-    bitmasks. Class sizes above omega(H)+1 behave identically because
-    omega(H[Y]) < size is then always true.
+    Rows depend only on (class size, open neighborhood), so repeated tests
+    across the run reuse the cached bitmasks. Rule 1 has passed every
+    class a test sees, so no class size exceeds omega(H).
 
     Most failing tests are refuted before any row is built. Every row
     mentions only variables of vertices in its own class's neighborhood.
@@ -253,26 +246,23 @@ class _SpanEngine:
         self._rows: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
         self._estimates: dict[tuple[int, int], int] = {}
 
-    def _cap(self, class_size: int) -> int:
-        return min(class_size, self.h.clique_number + 1)
-
     def estimate_rows(self, class_size: int, nbhd_size: int) -> int:
         """Exact row count for a class (``class_row_count``), memoized."""
-        key = (self._cap(class_size), nbhd_size)
+        key = (class_size, nbhd_size)
         total = self._estimates.get(key)
         if total is None:
-            total = self._estimates[key] = class_row_count(self.h, key[0], nbhd_size)
+            total = self._estimates[key] = class_row_count(self.h, class_size, nbhd_size)
         return total
 
     def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
         """The row bitmasks of a class, in increasing order: as many as
         ``estimate_rows`` counts, since the generator yields no row twice."""
-        key = (self._cap(class_size), neighborhood)
+        key = (class_size, neighborhood)
         got = self._rows.get(key)
         if got is None:
             ids = self.interner   # indexing interns an unseen key
             masks = []
-            for keys in iter_class_constraint_keys(self.h, key[0], tuple(sorted(neighborhood))):
+            for keys in iter_class_constraint_keys(self.h, class_size, tuple(sorted(neighborhood))):
                 mask = 0
                 for mk in keys:
                     mask |= 1 << ids[mk]
@@ -319,17 +309,20 @@ class _SpanEngine:
             return True
 
         reduced = {a1: tc.nbhd[a1] - p2, a2: tc.nbhd[a2] - p1}
-        sources = tc.reranked({a: self.estimate_rows(len(members[a]), len(nbhd))
-                               for a, nbhd in reduced.items()})
+        # the two classes' ranking entries once E(p1, p2) is deleted
+        swapped = sorted((self.estimate_rows(len(members[a]), len(nbhd)), a)
+                         for a, nbhd in reduced.items())
         if self._refuted(tc, a1, a2):
             # a failing test feeds every source; the estimates are exact
             stats.span_refuted += 1
-            stats.rows_considered += sum(est for est, _a in sources)
+            stats.rows_considered += (sum(est for est, _a in tc.ranked)
+                                      - sum(tc.entry(a)[0] for a in reduced)
+                                      + sum(est for est, _a in swapped))
             return False
 
         basis = MaskBasis()
         pending = list(self.class_rows(len(p1), tc.nbhd[a1]))
-        for est, a in sources:
+        for est, a in merge((e for e in tc.ranked if e[1] not in reduced), swapped):
             rows = self.class_rows(len(members[a]), reduced.get(a, tc.nbhd[a]))
             if not rows:
                 continue

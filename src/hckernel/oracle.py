@@ -137,33 +137,31 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     the component, taken by one set difference instead of a walk. A search
     that runs dry first has walked a whole piece, which is peeled off. The
     pieces depend only on which vertices the decision assigned, so each
-    frame keeps them per such set for its later colors.
+    component keeps them per such set for its later colors.
 
     Components are cached. A component has no unassigned neighbour outside
     itself, so its search depends only on its state: its vertex set and
     the current lists of its vertices. The search is deterministic, so a
-    state always has the same first solution or none. Once some frame has
-    failed (before that, no state can come round again) every component
-    taken up is keyed by its sorted vertices and one character per list
-    (see _ComponentCache). A frame that runs out of colors records that
-    its state has no solution; a frame whose pending components are all
-    done records its vertices' colors. A component whose state is known to
-    fail refutes its creator's choice at once, and one known to succeed
-    takes its recorded colors without propagation: every neighbour outside
-    it is already assigned.
+    state always has the same first solution or none. Once some component
+    has failed (before that, no state can come round again) every
+    component taken up is keyed by its sorted vertices and one character
+    per list (see _ComponentCache), and its outcome is recorded: its
+    vertices' colors, or that it has none. A component whose state is
+    known to fail refutes its creator's choice at once, and one known to
+    succeed takes its recorded colors without propagation: every neighbour
+    outside it is already assigned.
 
-    The search is iterative, so its depth is not bounded by the
-    interpreter's recursion limit. Each frame is one decision; each
-    pending component records the frame whose choice split it off (-1:
-    the top level). A frame that runs out of colors fails its component,
-    so the search drops every frame above that component's creator,
-    undoes the creator's choice and resumes it with its next color.
+    Each component is solved by one generator, which yields the pieces its
+    choice splits off and is sent back whether each was solved. One loop
+    drives the generators from a plain list, so the search depth is not
+    bounded by the interpreter's recursion limit.
     """
     if any(not d for d in domains.values()):
         return None
     assigned: dict[int, int] = {}
     # (v, None) records an assignment, (v, c) the removal of c from v's list
     trail: list[tuple[int, int | None]] = []
+    cache: _ComponentCache | None = None
 
     def propagate(queue: list[tuple[int, int]]) -> bool:
         # A queued (v, c) is consistent by construction: v is unassigned, c
@@ -240,71 +238,66 @@ def _search(adj, vertices, domains: dict[int, set[int]],
         known[newly] = out
         return out
 
-    forced = [(v, next(iter(domains[v])))
-              for v in sorted(vertices) if len(domains[v]) == 1]
-    if not propagate(forced):
-        return None
-    # pending components, smallest on top
-    top = _components(adj, {v for v in vertices if v not in assigned})
-    todo = [(comp, -1) for comp in reversed(sorted(top, key=len))]
-    # frame: [component, vertex, colors, next color index, trail mark,
-    #         creator frame, len(todo) when the frame was opened, cache key,
-    #         pieces of the component per set of vertices a color assigned]
-    frames: list[list] = []
-    # open frames with a cache key, bottom first; their bases never decrease
-    keyed: list[int] = []
-    cache: _ComponentCache | None = None
-    while todo:
-        # a keyed frame whose pending components are all done is solved
-        while keyed and frames[keyed[-1]][6] >= len(todo):
-            cache.solved(frames[keyed.pop()][7], assigned)
-        live, creator = todo.pop()
-        key = hit = None
+    def solve(live: set[int]):
+        """Solve one component: yield each piece a choice splits off, be
+        sent whether it was solved, and return whether the component was."""
+        nonlocal cache
+        key = None
         if cache is not None:
             key = cache.key(live, domains)
             # None: state not met yet; "": no solution; else its colors
             hit = cache.outcomes.get(key)
-            if hit:
-                # a known first solution; every neighbour outside the
-                # component is assigned, so nothing needs propagating
-                verts = key[0]
-                assigned.update(zip(verts, cache.colors(hit)))
-                trail.extend(zip(verts, repeat(None)))
-                continue
-        if hit is None:
-            v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
-            colors = sorted(domains[v])
-        else:
-            # a known failure: a frame without colors fails at once
-            v, colors = None, ()
-        frames.append([live, v, colors, 0, len(trail), creator, len(todo), key, {}])
-        f = len(frames) - 1
-        if key is not None:
-            keyed.append(f)
-        while True:
-            live, v, colors, i, mark, creator, base, key, known = frames[f]
-            # a resumed frame drops its previous choice and what it split off
+            if hit is not None:
+                if hit:
+                    # every neighbour outside the component is assigned,
+                    # so nothing needs propagating
+                    verts = key[0]
+                    assigned.update(zip(verts, cache.colors(hit)))
+                    trail.extend(zip(verts, repeat(None)))
+                return bool(hit)
+        v = min(live, key=lambda u: (len(domains[u]), -len(adj[u]), u))
+        mark = len(trail)
+        known: dict = {}
+        for c in sorted(domains[v]):
+            if propagate([(v, c)]):
+                for piece in split(live, mark, known):
+                    if not (yield piece):
+                        break
+                else:
+                    if key is not None:
+                        cache.solved(key, assigned)
+                    return True
             undo(mark)
-            del todo[base:]
-            while i < len(colors) and not propagate([(v, colors[i])]):
-                undo(mark)
-                i += 1
-            if i < len(colors):
-                break
-            # the frame failed; undo(mark) restored the state it started from
-            if key is not None:
-                cache.outcomes[key] = ""
-            elif cache is None:
-                cache = _ComponentCache(bad)
-            f = creator
-            if f < 0:
-                return None
-            del frames[f + 1:]
-            while keyed and keyed[-1] > f:
-                keyed.pop()
-        frames[f][3] = i + 1
-        todo.extend((sub, f) for sub in reversed(split(live, mark, known)))
-    return dict(assigned)
+        if key is not None:
+            cache.outcomes[key] = ""
+        elif cache is None:
+            cache = _ComponentCache(bad)
+        return False
+
+    def top():
+        # a failing component ends the search, so try the smallest first
+        for comp in sorted(_components(adj, {v for v in vertices if v not in assigned}),
+                           key=len):
+            if not (yield comp):
+                return False
+        return True
+
+    forced = [(v, next(iter(domains[v])))
+              for v in sorted(vertices) if len(domains[v]) == 1]
+    if not propagate(forced):
+        return None
+    running = [top()]
+    solved = None
+    while running:
+        try:
+            piece = running[-1].send(solved)
+        except StopIteration as stop:
+            running.pop()
+            solved = stop.value
+        else:
+            running.append(solve(piece))
+            solved = None
+    return dict(assigned) if solved else None
 
 
 def find_h_coloring(g: Graph, h: PatternGraph, guard=_UNSET) -> dict[int, int] | None:

@@ -373,6 +373,10 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
     removed = edges_between(g, p1, p2)
     if not removed:
         return None
+    # rule 1 has passed every class the test reads, so the engine's row
+    # and estimate memos need no size cap
+    omega = engine.h.clique_number
+    assert all(len(cls) <= omega for cls in pi), "a class above omega(H) reached rule 2"
     stats = engine.stats
     stats.span_tests += 1
     targets = engine.class_rows(len(p1), g.neighborhood_of_set(p1))

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hckernel import cli
-from hckernel.composer import TriangleSplitInstance
+from hckernel.composer import ListColoringInstance, TriangleSplitInstance, list_to_plain
 from hckernel.formats import (
     ParseError,
     emit_graph,
@@ -93,6 +93,21 @@ class TestEmitGraph:
         index = {v: i for i, v in enumerate(g.vertices)}
         assert set(back.edges()) == {(index[u], index[v]) for u, v in g.edges()}
         assert back.labels == {index[v]: name for v, name in g.labels.items()}
+
+    def test_unlabelled_vertex_named_by_one_based_id(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], labels={0: "a"})
+        assert [g.label_of(v) for v in g.vertices] == ["a", "2", "3"]
+        text = emit_graph(g)
+        assert [ln for ln in text.splitlines() if ln.startswith("c ")] == ["c label 1 a"]
+        back = parse_graph(text)
+        assert [back.label_of(v) for v in back.vertices] == ["a", "2", "3"]
+
+    def test_plain_form_of_unlabelled_list_graph_names_only_the_palette(self):
+        inst = ListColoringInstance(Graph.from_edges(3, [(0, 1)]),
+                                    {v: frozenset({1, 2}) for v in range(3)})
+        text = emit_graph(list_to_plain(inst))
+        assert [ln for ln in text.splitlines() if ln.startswith("c ")] == [
+            "c label 4 C1", "c label 5 C2", "c label 6 C3"]
 
     def test_label_name_is_rest_of_line(self):
         g = parse_graph("p edge 2 1\nc label 2 old  name \nc label x free text\ne 1 2\n")

@@ -391,20 +391,72 @@ class TestComponentCache:
                 assert verify_h_coloring(g, h, got)
 
 
+def _refuse_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+
+
+def _deep_unwinding_chain(levels: int) -> ListColoringInstance:
+    """A chain d_0 - d_1 - ... - d_levels whose first descent fails at its
+    far end and unwinds through every level before d_0 takes its second
+    color.
+
+    d_0 has list {1, 2} and three leaves, so it is chosen first; every
+    other d_k has list {1, 2, 3} and a gadget that refutes color 3 only
+    once d_k takes it (lists {1,3}, {2,3} on two neighbours of d_k and
+    {1,2} on their common neighbour). So each d_k is decided, splitting
+    off the rest of the chain as one piece, and its colors alternate with
+    d_0's. A second gadget refutes, at the far end, the color that d_0 = 1
+    gives it.
+    """
+    lists: dict[int, frozenset] = {}
+    edges = []
+
+    def vertex(colors) -> int:
+        lists[len(lists)] = frozenset(colors)
+        return len(lists) - 1
+
+    def refute(d: int, c: int) -> None:
+        x, y = sorted({1, 2, 3} - {c})
+        a, b, e = vertex({x, c}), vertex({y, c}), vertex({x, y})
+        edges.extend([(d, a), (d, b), (a, e), (b, e)])
+
+    prev = vertex({1, 2})
+    edges.extend((prev, vertex({1, 2, 3})) for _ in range(3))
+    for _ in range(levels):
+        d = vertex({1, 2, 3})
+        edges.append((prev, d))
+        refute(d, 3)
+        prev = d
+    refute(prev, 1 if levels % 2 == 0 else 2)
+    return ListColoringInstance(Graph.from_edges(len(lists), edges), lists)
+
+
 class TestDeepHosts:
-    """The search is iterative: deep hosts need no recursion-limit raise."""
+    """One generator per component, driven from a plain list: deep hosts
+    need no recursion-limit raise, whether the search succeeds on its
+    first descent or unwinds a failure through every level."""
 
     def test_long_path_without_recursion_limit_raise(self, monkeypatch):
-        def refuse(limit):
-            raise AssertionError(f"recursion limit raised to {limit}")
-
-        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        _refuse_recursion_limit(monkeypatch)
         path = Graph.from_edges(1200, [(i, i + 1) for i in range(1199)])
         plain = find_3_coloring(path, guard=None)
         assert plain is not None
         assert all(plain[u] != plain[v] for u, v in path.edges())
         hom = find_h_coloring(path, C5, guard=None)
         assert hom is not None and verify_h_coloring(path, C5, hom)
+
+    def test_failure_unwinds_past_recursion_limit(self, monkeypatch):
+        levels = sys.getrecursionlimit() + 10
+        inst = _deep_unwinding_chain(levels)
+        g = inst.graph
+        want = reference_solve_lists(g, {v: set(inst.lists[v]) for v in g.vertices})
+        # the far end refutes d_0 = 1, so the witness took d_0 = 2
+        assert want is not None and want[0] == 2
+        _refuse_recursion_limit(monkeypatch)
+        assert find_list_3_coloring(inst, guard=None) == want
 
 
 def _pinned_gadget(gadget, ports):
