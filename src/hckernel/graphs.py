@@ -143,6 +143,9 @@ class PatternGraph:
     # per-pattern row pieces, filled on first use by hckernel.constraints
     _sequence_memo: dict[int, tuple] = field(default_factory=dict, repr=False)
     _selector_memo: tuple | None = field(default=None, repr=False)
+    # per (capped class size, |N|): a family's independent rows, filled on
+    # first use by hckernel.kernelization
+    _template_memo: dict[tuple[int, int], tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         h = self.graph

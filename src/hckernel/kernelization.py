@@ -37,7 +37,11 @@ scratch after every application. Only the work per application is less:
   mentions a vertex of p2 and lies in no other class's neighborhood can
   come from no source row, and the neighborhood's size fixes the vertex
   sets (see ``_SpanEngine``). A refuted test counts the rows the full
-  test would have considered.
+  test would have considered;
+* a test that is not refuted reads a basis of each class's rows, not all
+  of them: the family's template, found once per target (``_template``).
+  It spans the same space, so the test and every basis rank are those of
+  the full family.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import combinations
+from itertools import combinations, islice
+from operator import itemgetter
 from typing import Iterator
 
 from .constraints import class_row_count, iter_class_constraint_keys, monomial_size
@@ -142,7 +147,8 @@ class _TwinClasses:
     A class is keyed by its smallest member (its anchor), so comparing
     anchors compares smallest members. ``ranked`` holds (row estimate,
     anchor) for every class in increasing order; it orders both the tested
-    classes and the generating classes of a span test.
+    classes and the generating classes of a span test. ``total`` is the
+    sum of its estimates.
 
     Deleting E(p1, p2) changes the closed neighborhoods of p1 and p2 only,
     so the driver re-keys just those two classes (partition refinement;
@@ -156,15 +162,19 @@ class _TwinClasses:
         self.nbhd: dict[int, frozenset[int]] = {}
         self.class_of: dict[int, int] = {}
         self._by_closed: dict[frozenset[int], int] = {}
+        self._closed: dict[int, frozenset[int]] = {}   # anchor -> its _by_closed key
         for cls in classes:
-            self._put(cls, g.neighborhood_of_set(cls))
+            nbhd = g.neighborhood_of_set(cls)
+            self._put(cls, nbhd, nbhd | cls)
         self.ranked = sorted(map(self.entry, self.members))
+        self.total = sum(est for est, _a in self.ranked)
 
-    def _put(self, cls: frozenset[int], nbhd: frozenset[int]) -> int:
+    def _put(self, cls: frozenset[int], nbhd: frozenset[int], closed: frozenset[int]) -> int:
         anchor = min(cls)
         self.members[anchor] = cls
         self.nbhd[anchor] = nbhd
-        self._by_closed[nbhd | cls] = anchor
+        self._by_closed[closed] = anchor
+        self._closed[anchor] = closed
         for v in cls:
             self.class_of[v] = anchor
         return anchor
@@ -182,16 +192,21 @@ class _TwinClasses:
             cls = cls | self.members[twin]
             self.drop(twin)
             nbhd = closed - cls
-        anchor = self._put(cls, nbhd)
-        insort(self.ranked, self.entry(anchor))
+        anchor = self._put(cls, nbhd, closed)
+        entry = self.entry(anchor)
+        insort(self.ranked, entry)
+        self.total += entry[0]
         return anchor
 
     def drop(self, anchor: int) -> frozenset[int]:
         """Remove a class and return its members."""
         ranked = self.ranked
-        del ranked[bisect_left(ranked, self.entry(anchor))]
+        entry = self.entry(anchor)
+        del ranked[bisect_left(ranked, entry)]
+        self.total -= entry[0]
         cls = self.members.pop(anchor)
-        del self._by_closed[self.nbhd.pop(anchor) | cls]
+        del self.nbhd[anchor]
+        del self._by_closed[self._closed.pop(anchor)]
         for v in cls:
             del self.class_of[v]
         return cls
@@ -212,9 +227,49 @@ class _TwinClasses:
                 yield a1, a2
 
 
+def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
+    """The independent rows of a family over positions 0..s-1: those that
+    raise the rank when the family's rows are inserted greedily in
+    generator order. They span the whole family.
+
+    Rows whose monomials have w (position, color) pairs each are kept
+    together, in generator order, as (w, pick, counts): ``pick`` is one
+    ``itemgetter`` that picks all their pairs, monomial after monomial,
+    from a table holding (N[i], c) at ``i * |V(H)| + index of c``, and
+    ``counts`` holds each row's number of monomials. The increasing map
+    i -> N[i] of a sorted neighborhood keeps every key sorted. Memoized on
+    the pattern per (class size capped at omega(H)+1, s) and built on
+    first use.
+    """
+    key = (min(class_size, h.clique_number + 1), s)
+    got = h._template_memo.get(key)
+    if got is None:
+        index = {c: i for i, c in enumerate(h.color_ids)}
+        width = len(index)
+        ids = MonomialInterner()
+        basis = MaskBasis()
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for keys in iter_class_constraint_keys(h, class_size, tuple(range(s))):
+            mask = 0
+            for mk in keys:
+                mask |= 1 << ids[mk]
+            if basis.insert(mask):
+                at, counts = groups.setdefault(len(keys[0]), ([], []))
+                at += [i * width + index[c] for mk in keys for i, c in mk]
+                counts.append(len(keys))
+        # one index would make itemgetter return the bare pair
+        got = h._template_memo[key] = tuple(
+            (w, itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1)), tuple(counts))
+            for w, (at, counts) in groups.items())
+    return got
+
+
 class _SpanEngine:
     """Shared interner plus per-neighborhood row cache for rule 2 tests.
 
+    A class feeds a test only its family's template (``_template``), which
+    spans the same space as all of the family's rows: every test answers
+    the same and every basis reaches the same rank after each source.
     Rows depend only on (class size, open neighborhood), so repeated tests
     across the run reuse the cached bitmasks. Rule 1 has passed every
     class a test sees, so no class size exceeds omega(H).
@@ -255,18 +310,22 @@ class _SpanEngine:
         return total
 
     def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
-        """The row bitmasks of a class, in increasing order: as many as
-        ``estimate_rows`` counts, since the generator yields no row twice."""
+        """The bitmasks of a class's template rows relabelled onto its
+        neighborhood, in increasing order: a basis of its family's span."""
         key = (class_size, neighborhood)
         got = self._rows.get(key)
         if got is None:
             ids = self.interner   # indexing interns an unseen key
+            colors = self.h.color_ids
+            table = [(v, c) for v in sorted(neighborhood) for c in colors]
             masks = []
-            for keys in iter_class_constraint_keys(self.h, class_size, tuple(sorted(neighborhood))):
-                mask = 0
-                for mk in keys:
-                    mask |= 1 << ids[mk]
-                masks.append(mask)
+            for width, pick, counts in _template(self.h, class_size, len(neighborhood)):
+                keys = zip(*[iter(pick(table))] * width)
+                for m in counts:
+                    mask = 0
+                    for mk in islice(keys, m):
+                        mask |= 1 << ids[mk]
+                    masks.append(mask)
             got = self._rows[key] = tuple(sorted(masks))
         return got
 
@@ -315,7 +374,7 @@ class _SpanEngine:
         if self._refuted(tc, a1, a2):
             # a failing test feeds every source; the estimates are exact
             stats.span_refuted += 1
-            stats.rows_considered += (sum(est for est, _a in tc.ranked)
+            stats.rows_considered += (tc.total
                                       - sum(tc.entry(a)[0] for a in reduced)
                                       + sum(est for est, _a in swapped))
             return False

@@ -334,9 +334,11 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 # The restart-everything driver that ``kernelize`` replaced, kept as the
 # differential oracle: after every rule application it recomputes the twin
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
-# It shares ``_SpanEngine`` with the library: the row masks
-# (``class_rows``), the row estimate that ranks the pairs and the monomial
-# interner. So it checks the driver and cannot catch a row-generation bug;
+# It shares ``_SpanEngine`` with the library for the row estimate that
+# ranks the pairs and the monomial interner, but feeds every test all of a
+# family's rows (``FullRowEngine``), not the library's template of
+# independent rows; so the differential checks that templates change no
+# answer and no basis rank. It cannot catch a row-generation bug;
 # ``reference_class_constraint_keys`` is the oracle for that. It counts
 # ``rows_considered`` from the generator itself, so the differential also
 # checks the library's estimate-based count. It decides the neighborhood
@@ -348,6 +350,22 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
 def row_count(h, class_size: int, neighborhood: frozenset[int]) -> int:
     """The number of rows the generator yields for one family."""
     return sum(1 for _ in iter_class_constraint_keys(h, class_size, tuple(sorted(neighborhood))))
+
+
+class FullRowEngine(_SpanEngine):
+    """``_SpanEngine`` whose ``class_rows`` are every row of the family,
+    generated for each neighborhood and interned into the shared interner."""
+
+    def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
+        key = (class_size, neighborhood)
+        got = self._rows.get(key)
+        if got is None:
+            ids = self.interner
+            # a row's keys are distinct, so the sum of their bits is their OR
+            got = self._rows[key] = tuple(sorted(
+                sum(1 << ids[mk] for mk in keys)
+                for keys in iter_class_constraint_keys(self.h, class_size, tuple(sorted(neighborhood)))))
+        return got
 
 
 def _reference_refuted(engine: _SpanEngine, g: Graph, pi, p1, p2, targets) -> bool:
@@ -446,7 +464,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
     start = time.perf_counter()
     stats = KernelStats(input_n=g.n, input_m=g.m,
                         twin_classes=len(twin_decomposition(g)))
-    engine = _SpanEngine(h, stats)
+    engine = FullRowEngine(h, stats)
     history: list[AppliedRule] = []
     held: list[Graph] = []
     work = g

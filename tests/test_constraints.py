@@ -17,6 +17,7 @@ from hckernel.constraints import (
     monomial_size,
 )
 from hckernel.formats import resolve_pattern
+from hckernel.gf2 import MaskBasis
 from hckernel.graphs import Graph, PatternGraph, twin_decomposition
 from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
 
@@ -308,6 +309,49 @@ class TestRowPieces:
                     set(map(frozenset, itertools.combinations(nbhd, k))), (size, m)
 
 
+def basis_of(rows):
+    basis = MaskBasis()
+    for mask in rows:
+        basis.insert(mask)
+    return basis
+
+
+class TestTemplates:
+    """A span test reads only a family's template rows. Spanning less than
+    the family would make the target side accept tests it should refuse,
+    and spanning more is impossible for rows of the family."""
+
+    @pytest.mark.parametrize("name", ROW_PATTERNS)
+    def test_template_spans_family(self, name):
+        h = ROW_TARGETS[name]
+        rng = random.Random(47)
+        for size, m in row_cases(h):
+            nbhd = frozenset(rng.sample(range(60), m))
+            engine = _SpanEngine(h, KernelStats())
+            template = engine.class_rows(size, nbhd)
+            ids = engine.interner
+            family = [sum(1 << ids[mk] for mk in keys)
+                      for keys in iter_class_constraint_keys(h, size, tuple(sorted(nbhd)))]
+            assert set(template) <= set(family), (size, m)
+            basis = basis_of(template)
+            assert all(basis.contains(mask) for mask in family), (size, m)
+            assert len(template) == basis.rank == basis_of(family).rank, (size, m)
+            if template:
+                # the check has teeth: a template one row short misses a
+                # row of the family
+                assert not basis_of(template[:-1]).contains(template[-1]), (size, m)
+
+    @pytest.mark.parametrize("name", ["K3", "K4", "K5"])
+    def test_clique_template_has_paper_dimension(self, name):
+        # a singleton class's family for K_q has rank C(s-1, q-1): the
+        # degree-(q-1) dimension behind the O(k**(q-1)) kernel bound
+        h = ROW_TARGETS[name]
+        q = h.num_colors
+        engine = _SpanEngine(h, KernelStats())
+        for s in range(1, 11):
+            assert len(engine.class_rows(1, frozenset(range(s)))) == math.comb(s - 1, q - 1), s
+
+
 class TestRowPieceMemo:
     """The pieces live on the pattern, are built only when a neighborhood
     needs them and stay bounded."""
@@ -316,8 +360,10 @@ class TestRowPieceMemo:
     def test_nothing_built_up_front(self, name):
         h = resolve_pattern(name)
         assert h._selector_memo is None and h._sequence_memo == {}
+        assert h._template_memo == {}
         kernelize(Graph.from_edges(4, []), h)
         assert h._selector_memo is None and h._sequence_memo == {}
+        assert h._template_memo == {}
 
     def test_k9_class_with_eight_neighbors_builds_no_selector_template(self):
         # a kind-P row needs Delta+1 = 9 neighbors; kind-P rows come first,
@@ -338,3 +384,5 @@ class TestRowPieceMemo:
             assert 1 <= len(h._sequence_memo) <= h.clique_number + 1
             assert all(len(lists) <= h.max_degree for lists in h._sequence_memo.values())
             assert len(h._selector_memo) == math.comb(h.num_colors - 1, h.max_degree)
+            # one template per capped class size and neighborhood size
+            assert all(size <= h.clique_number + 1 and s <= 9 for size, s in h._template_memo)
