@@ -190,15 +190,17 @@ def twin_decomposition(g: Graph) -> tuple[frozenset[int], ...]:
 
     True twins share their closed neighborhood, hence are adjacent, so each
     class induces a clique. Classes are ordered by smallest member.
-    Sorting the closed neighborhood of every vertex gives the unique
-    maximal decomposition in O((n+m) log n) time. An empty graph yields an
-    empty class sequence.
+    Hashing the closed neighborhood of every vertex gives the unique
+    maximal decomposition in expected O(n+m) time. An empty graph yields
+    an empty class sequence.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[frozenset[int], list[int]] = {}
     for v in g.vertices:
-        key = tuple(sorted(g.adj[v] | {v}))
+        key = g.adj[v] | {v}
         groups.setdefault(key, []).append(v)
-    return tuple(sorted((frozenset(vs) for vs in groups.values()), key=min))
+    # vertices come in increasing order, so a class first appears at its
+    # smallest member
+    return tuple(frozenset(vs) for vs in groups.values())
 
 
 def _non_twin_edges(g: Graph) -> list[tuple[int, int]]:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import merge
 from itertools import combinations, islice
 from operator import itemgetter
@@ -105,37 +105,24 @@ class KernelStats:
         }
 
 
-@dataclass(frozen=True)
-class AppliedRule:
-    """One successful rule application, logged as what it removed.
-
-    For rule 2, ``p1`` and ``p2`` are the ordered pair of twin classes and
-    ``removed_edges`` the edges that joined them. For rule 1, ``p1`` is the
-    offending class; for rule 3, it is the removed class, whose vertices
-    and internal edges are the removals. ``p2`` is then empty. Replaying
-    the removals in order on the input yields the graph after every step.
-    """
-
-    rule: str
-    p1: frozenset[int]
-    p2: frozenset[int] = frozenset()
-    removed_vertices: frozenset[int] = frozenset()
-    removed_edges: frozenset[tuple[int, int]] = frozenset()
-
-
 @dataclass
 class KernelResult:
     """Outcome of a kernelization run.
 
     Either ``trivial_no`` is set (rule 1 fired; ``graph`` is None) or
-    ``graph`` holds the kernel, a subgraph of the input. ``history`` is the
-    removal log of every application, when it was asked for.
+    ``graph`` holds the kernel, a subgraph of the input. ``history`` logs
+    every application in order as a triple (rule, p1, p2): ``("rule2", p1,
+    p2)`` for the ordered pair of twin classes whose edges went, and
+    ``("rule1", cls, frozenset())`` or ``("rule3", cls, frozenset())`` for
+    the offending or removed class. The classes fix the removals: a twin
+    class is a clique and two adjacent classes are joined completely, so
+    rule 2 removes p1 x p2, rule 3 the class and rule 1 nothing.
     """
 
     graph: Graph | None
     trivial_no: bool
     stats: KernelStats
-    history: tuple[AppliedRule, ...] = field(default_factory=tuple)
+    history: tuple[tuple[str, frozenset[int], frozenset[int]], ...]
 
 
 class _TwinClasses:
@@ -398,7 +385,7 @@ class _SpanEngine:
         return False
 
 
-def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> KernelResult:
+def kernelize(g: Graph, h: PatternGraph) -> KernelResult:
     """Apply the three reduction rules to a fixpoint.
 
     Every pass runs rule 1, then rule 3, then rule 2 over class pairs in
@@ -406,15 +393,15 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
     of rule 2. The applications, their order, the kernel and the counters
     are exactly those of recomputing the twin decomposition and restarting
     after every single application; the twin classes are maintained
-    instead (see the module docstring). With ``record_history`` every
-    application is logged with what it removed (``AppliedRule``).
+    instead (see the module docstring). Every application is logged in
+    ``KernelResult.history``.
     """
     start = time.perf_counter()
     pi = twin_decomposition(g)
     stats = KernelStats(input_n=g.n, input_m=g.m, twin_classes=len(pi))
     engine = _SpanEngine(h, stats)
     tc = _TwinClasses(g, pi, engine)
-    history: list[AppliedRule] | None = [] if record_history else None
+    history = []
 
     changed = sorted(tc.members)   # classes whose rule 1/3 status may differ
     trivial = False
@@ -424,8 +411,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         if big is not None:
             stats.rule1 += 1
             trivial = True
-            if history is not None:
-                history.append(AppliedRule("rule1", tc.members[big]))
+            history.append(("rule1", tc.members[big], frozenset()))
             break
         for a in changed:
             if tc.nbhd[a]:
@@ -434,9 +420,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
             # larger than omega(H); the next pass would find every other
             # class unchanged
             cls = tc.drop(a)
-            if history is not None:
-                history.append(AppliedRule("rule3", cls, removed_vertices=cls,
-                                           removed_edges=frozenset(combinations(sorted(cls), 2))))
+            history.append(("rule3", cls, frozenset()))
             stats.rule3 += 1
             stats.removed_vertices += len(cls)
             stats.removed_edges += len(cls) * (len(cls) - 1) // 2
@@ -448,9 +432,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
             break
         # rule 2; twin classes joined by one edge are joined completely
         p1, p2 = tc.members[a1], tc.members[a2]
-        if history is not None:
-            history.append(AppliedRule("rule2", p1, p2, removed_edges=frozenset(
-                (u, v) if u < v else (v, u) for u in p1 for v in p2)))
+        history.append(("rule2", p1, p2))
         n1, n2 = tc.nbhd[a1] - p2, tc.nbhd[a2] - p1
         tc.drop(a1)
         tc.drop(a2)
@@ -479,7 +461,7 @@ def kernelize(g: Graph, h: PatternGraph, *, record_history: bool = False) -> Ker
         graph=kernel,
         trivial_no=trivial,
         stats=stats,
-        history=tuple(history or ()),
+        history=tuple(history),
     )
 
 

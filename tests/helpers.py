@@ -21,7 +21,7 @@ import time
 from hckernel.constraints import iter_class_constraint_keys
 from hckernel.gf2 import MaskBasis
 from hckernel.graphs import Graph, twin_decomposition
-from hckernel.kernelization import AppliedRule, KernelResult, KernelStats, _SpanEngine
+from hckernel.kernelization import KernelResult, KernelStats, _SpanEngine
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -453,26 +453,29 @@ def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
         yield p1, p2
 
 
-def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelResult:
+def reference_kernelize(g: Graph, h) -> KernelResult:
     """Rule 1, then rule 3, then rule 2 over the ranked pairs; restart the
     pass from scratch after any successful application.
 
-    With ``record_history`` the removal log is built from the rules' own
-    view (the classes and ``edges_between``), and replaying it must give
-    the graph this driver held after every application.
+    Every application is logged as the library logs it, (rule, p1, p2).
+    The driver checks that each step removed exactly what its classes fix:
+    rule 2 every pair of p1 x p2, rule 3 a clique with no outside
+    neighbour. Replaying the log must then give the graph this driver held
+    after every application.
     """
     start = time.perf_counter()
     stats = KernelStats(input_n=g.n, input_m=g.m,
                         twin_classes=len(twin_decomposition(g)))
     engine = FullRowEngine(h, stats)
-    history: list[AppliedRule] = []
+    history = []
     held: list[Graph] = []
     work = g
 
-    def record(step: AppliedRule, reduced: Graph) -> None:
-        if record_history:
-            history.append(step)
-            held.append(reduced)
+    def record(rule: str, p1, p2, reduced: Graph, lost) -> None:
+        assert set(work.edges()) - set(reduced.edges()) == lost, \
+            f"{rule} on {sorted(p1)}, {sorted(p2)} removed other edges than its classes fix"
+        history.append((rule, p1, p2))
+        held.append(reduced)
 
     trivial = False
     while True:
@@ -482,7 +485,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
         if big is not None:
             stats.rule1 += 1
             trivial = True
-            record(AppliedRule("rule1", big), work)
+            record("rule1", big, frozenset(), work, set())
             break
         isolated = next((cls for cls in pi if len(cls) <= h.clique_number
                          and not work.neighborhood_of_set(cls)), None)
@@ -491,9 +494,8 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
             stats.rule3 += 1
             stats.removed_vertices += work.n - reduced.n
             stats.removed_edges += work.m - reduced.m
-            record(AppliedRule("rule3", isolated, removed_vertices=isolated,
-                               removed_edges=edges_between(work, isolated, isolated)),
-                   reduced)
+            record("rule3", isolated, frozenset(), reduced,
+                   set(itertools.combinations(sorted(isolated), 2)))
             work = reduced
             continue
         for p1, p2 in _reference_pairs(work, pi, engine):
@@ -501,8 +503,7 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
             if reduced is not None:
                 stats.rule2 += 1
                 stats.removed_edges += work.m - reduced.m
-                record(AppliedRule("rule2", p1, p2,
-                                   removed_edges=edges_between(work, p1, p2)), reduced)
+                record("rule2", p1, p2, reduced, {(min(u, v), max(u, v)) for u in p1 for v in p2})
                 work = reduced
                 break
         else:
@@ -520,11 +521,16 @@ def reference_kernelize(g: Graph, h, *, record_history: bool = False) -> KernelR
 def replay(g: Graph, history) -> list[Graph]:
     """The graph after each step of a removal log, starting from g.
 
-    A rule 1 step removes nothing, so its graph is the one before it.
+    A twin class is a clique and adjacent classes are joined completely, so
+    a rule 2 step removes every pair of p1 x p2 and a rule 3 step the class
+    p1. A rule 1 step removes nothing, so its graph is the one before it.
     """
     out = []
-    for step in history:
-        g = g.without_edges(step.removed_edges).without_vertices(step.removed_vertices)
+    for rule, p1, p2 in history:
+        if rule == "rule2":
+            g = g.without_edges((u, v) for u in p1 for v in p2)
+        elif rule == "rule3":
+            g = g.without_vertices(p1)
         out.append(g)
     return out
 

@@ -6,6 +6,7 @@ package that would break the benchmark fails here instead.
 ``perfbench/`` is imported through ``sys.path`` and only read.
 """
 
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -46,6 +47,10 @@ def test_first_op_of_each_kind_passes_its_check(workloads, name):
 def test_run_metadata_names():
     # perfbench/run.py records the elimination backend in every run's meta
     assert isinstance(hckernel.GF2_BACKEND, str)
+    # its drift check reads these counters with getattr(..., None): a
+    # renamed one would read None on every pass and compare equal
+    fields = {f.name for f in dataclasses.fields(hckernel.KernelStats)}
+    assert set(_perfbench_module("run").KERNEL_STATS) <= fields
 
 
 def test_every_traced_name_exists():

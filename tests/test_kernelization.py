@@ -18,7 +18,6 @@ from hckernel.graphs import (
     twin_decomposition,
 )
 from hckernel.kernelization import (
-    AppliedRule,
     KernelStats,
     _SpanEngine,
     _TwinClasses,
@@ -63,9 +62,9 @@ PATTERNS = {"K3": K3, "K4": K4, "C5": C5}
 
 class TestRule1:
     def test_k4_vs_k3(self):
-        res = kernelize(clique(4), K3, record_history=True)
+        res = kernelize(clique(4), K3)
         assert res.trivial_no and res.graph is None
-        assert res.history == (AppliedRule("rule1", frozenset(range(4))),)
+        assert res.history == (("rule1", frozenset(range(4)), frozenset()),)
 
     def test_k3_vs_k3(self):
         res = kernelize(clique(3), K3)
@@ -234,22 +233,18 @@ class TestSpanOracle:
 
 class TestRule3:
     def test_removes_isolated_triangle(self):
-        res = kernelize(disjoint(clique(3), cycle(5)), K3, record_history=True)
-        triangle = frozenset({0, 1, 2})
-        assert res.history[0] == AppliedRule(
-            "rule3", triangle, removed_vertices=triangle,
-            removed_edges=frozenset({(0, 1), (0, 2), (1, 2)}))
+        res = kernelize(disjoint(clique(3), cycle(5)), K3)
+        assert res.history[0] == ("rule3", frozenset({0, 1, 2}), frozenset())
 
     def test_oversized_isolated_clique_left_for_rule1(self):
-        res = kernelize(disjoint(clique(4), cycle(5)), K3, record_history=True)
+        res = kernelize(disjoint(clique(4), cycle(5)), K3)
         assert res.trivial_no and res.stats.rule3 == 0
-        assert [step.rule for step in res.history] == ["rule1"]
+        assert [rule for rule, _p1, _p2 in res.history] == ["rule1"]
 
     def test_removes_isolated_vertex(self):
         g = Graph.from_edges(6, [(i, (i + 1) % 5) for i in range(5)])
-        res = kernelize(g, K3, record_history=True)
-        assert res.history[0] == AppliedRule(
-            "rule3", frozenset({5}), removed_vertices=frozenset({5}))
+        res = kernelize(g, K3)
+        assert res.history[0] == ("rule3", frozenset({5}), frozenset())
         assert 5 not in res.graph.vertices
 
 
@@ -286,6 +281,19 @@ class TestKernelize:
                     assert res.graph.is_subgraph_of(g)
                 assert got == want
 
+    def test_history_replays_to_kernel(self):
+        # every call logs its applications; replaying them gives the kernel
+        rng = random.Random(43)
+        for _ in range(25):
+            g = random_graph(10, rng.choice([0.3, 0.5, 0.7]), rng)
+            g = Graph(g.vertices, g.adj, {v: f"x{v}" for v in g.vertices if v % 3})
+            for h in PATTERNS.values():
+                res = kernelize(g, h)
+                assert res.history
+                if not res.trivial_no:
+                    last = replay(g, res.history)[-1]
+                    assert (last, last.labels) == (res.graph, res.graph.labels)
+
     def test_idempotent(self):
         rng = random.Random(44)
         for _ in range(15):
@@ -300,14 +308,10 @@ class TestKernelize:
 
     def test_history_and_stats(self):
         g = disjoint(*[clique(3)] * 3)
-        res = kernelize(g, K3, record_history=True)
-        assert len(res.history) == 3
-        assert all(step.rule == "rule3" for step in res.history)
-        assert [sorted(step.removed_vertices) for step in res.history] == \
-            [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-        assert all(len(step.removed_edges) == 3 for step in res.history)
-        ns = [step.n for step in replay(g, res.history)]
-        assert ns == [6, 3, 0]
+        res = kernelize(g, K3)
+        assert res.history == tuple(("rule3", frozenset(range(i, i + 3)), frozenset())
+                                    for i in (0, 3, 6))
+        assert [(step.n, step.m) for step in replay(g, res.history)] == [(6, 6), (3, 3), (0, 0)]
         d = res.stats.to_dict()
         assert d["input"] == {"n": 9, "m": 9}
         assert d["kernel"] == {"n": 0, "m": 0}
@@ -318,10 +322,10 @@ class TestKernelize:
         for _ in range(12):
             g = random_graph(rng.randint(4, 9), rng.choice([0.4, 0.6]), rng)
             for h in (K3, K4):
-                res = kernelize(g, h, record_history=True)
+                res = kernelize(g, h)
                 sizes = [len(min_twin_cover(g))]
-                for step, after in zip(res.history, replay(g, res.history)):
-                    if step.rule == "rule1":
+                for (rule, _p1, _p2), after in zip(res.history, replay(g, res.history)):
+                    if rule == "rule1":
                         continue
                     sizes.append(len(min_twin_cover(after)))
                 assert all(b <= a for a, b in zip(sizes, sizes[1:])), sizes
@@ -388,14 +392,12 @@ class TestReferenceDriver:
     @given(small_graphs(), st.sampled_from(sorted(PATTERNS)))
     def test_random_graphs(self, g, name):
         h = PATTERNS[name]
-        assert run_summary(kernelize(g, h, record_history=True)) == \
-            run_summary(reference_kernelize(g, h, record_history=True))
+        assert run_summary(kernelize(g, h)) == run_summary(reference_kernelize(g, h))
 
     @pytest.mark.parametrize("extra", [50, 90])
     def test_plateau_families(self, extra):
         g = TestPlateauFamily().c5_family(extra, 7)
-        assert run_summary(kernelize(g, K3, record_history=True)) == \
-            run_summary(reference_kernelize(g, K3, record_history=True))
+        assert run_summary(kernelize(g, K3)) == run_summary(reference_kernelize(g, K3))
 
     def test_labels_survive(self):
         text = "p edge 7 8\n" + "".join(
@@ -403,5 +405,4 @@ class TestReferenceDriver:
                                         (6, 7), (7, 4), (1, 4)])
         g = parse_graph(text)
         for h in PATTERNS.values():
-            assert run_summary(kernelize(g, h, record_history=True)) == \
-                run_summary(reference_kernelize(g, h, record_history=True))
+            assert run_summary(kernelize(g, h)) == run_summary(reference_kernelize(g, h))
