@@ -15,9 +15,9 @@ import itertools
 import sys
 from pathlib import Path
 
-from . import composer, formats, kernelization, oracle
-from .graphs import (TWIN_COVER_GUARD, CapacityError, PatternError, min_twin_cover,
-                     twin_decomposition)
+from . import formats, kernelization
+from .graphs import (TWIN_COVER_GUARD, CapacityError, PatternError, _env_guard,
+                     min_twin_cover, twin_decomposition)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -46,7 +46,7 @@ def _cmd_kernelize(args) -> int:
         # optional extra; a guard refusal or a malformed guard must not
         # lose the kernel output
         try:
-            guard = oracle._env_guard("HCKERNEL_COVER_GUARD", TWIN_COVER_GUARD)
+            guard = _env_guard("HCKERNEL_COVER_GUARD", TWIN_COVER_GUARD)
             k = len(min_twin_cover(g, guard=guard))
         except (CapacityError, ValueError) as exc:
             print(f"warning: {exc} (set HCKERNEL_COVER_GUARD to raise)",
@@ -80,6 +80,8 @@ def _cmd_kernelize(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import oracle
+
     g = formats.parse_graph(_read(args.graph))
     h = formats.resolve_pattern(args.pattern)
     witness = oracle.find_h_coloring(g, h)
@@ -111,6 +113,8 @@ def _collect_inputs(source: str) -> list[str]:
 
 
 def _cmd_compose(args) -> int:
+    from . import composer
+
     paths = _collect_inputs(args.inputs)
     instances = [formats.parse_tsd(_read(path)) for path in paths]
     list_inst, layout = composer.compose(instances)
@@ -129,12 +133,16 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_gen23(args) -> int:
+    from . import composer
+
     inst = composer.generate_tsd_instance(args.m, args.n, args.density, args.seed)
     _write(args.out, formats.emit_tsd(inst))
     return EXIT_OK
 
 
 def _cmd_verify_gadget(args) -> int:
+    from . import composer
+
     m = args.m
     if m < 1:
         print("m must be at least 1", file=sys.stderr)

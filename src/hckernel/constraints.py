@@ -21,7 +21,8 @@ but the last give each row once. The kind-Q color sequences of length k
 depend only on the target and the class size capped at omega(H)+1. Both
 pieces are memoized on the ``PatternGraph`` and built on first need, so
 ``iter_class_constraint_keys`` only relabels them. Only this module knows
-the families' shape: ``class_row_count`` and ``monomial_size``.
+the families' shape: ``class_row_count``, ``monomial_size`` and
+``closed_form_basis``.
 """
 
 from __future__ import annotations
@@ -122,6 +123,32 @@ def _selector_templates(h: PatternGraph) -> tuple[itemgetter, ...]:
     return got
 
 
+def _kind_p_rows(h: PatternGraph, neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]]:
+    """Kind-P rows: no Delta+1 neighbours may be rainbow-colored."""
+    d = h.max_degree
+    if len(neighborhood) > d:
+        colors = h.color_ids
+        templates = _selector_templates(h)
+        for s in itertools.combinations(neighborhood, d + 1):
+            table = [(v, c) for v in s for c in colors]
+            for pick in templates:
+                # every monomial has exactly d pairs
+                yield tuple(zip(*[iter(pick(table))] * d))
+
+
+def _kind_q_rows(h: PatternGraph, class_size: int,
+                 neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]]:
+    """Kind-Q rows, one monomial each: forbid neighborhood palettes that
+    leave no room for the class clique in the target."""
+    for k in range(1, min(h.max_degree, len(neighborhood)) + 1):
+        seqs = color_sequences(h, class_size, k)
+        if not seqs:
+            continue
+        for s in itertools.combinations(neighborhood, k):
+            for x in seqs:
+                yield (tuple(zip(s, x)),)
+
+
 def iter_class_constraint_keys(
     h: PatternGraph, class_size: int, neighborhood: tuple[int, ...]
 ) -> Iterator[tuple[tuple, ...]]:
@@ -131,27 +158,42 @@ def iter_class_constraint_keys(
     rows, which the kernelizer interns into bitmasks. Rows are relabelled
     per-pattern pieces (see ``_selector_templates`` and
     ``color_sequences``); monomial keys are sorted tuples of (vertex,
-    color) pairs, listed in increasing order.
+    color) pairs, listed in increasing order. Kind-P rows come first.
     """
+    yield from _kind_p_rows(h, neighborhood)
+    yield from _kind_q_rows(h, class_size, neighborhood)
+
+
+def closed_form_basis(h: PatternGraph, class_size: int,
+                      neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]] | None:
+    """A basis of the class's rows in closed form, in generator order, or
+    None when the family has no closed form. Two shapes have one; the
+    decision depends only on the target and the capped class size.
+
+    * K_q singleton: there are no kind-Q rows, and one kind-P row per
+      q-subset of N. Over any (q+1)-set the rows of its q-subsets sum to
+      0: each monomial pairs q-1 vertices with the colors 0..q-2, and
+      exactly two of the q-subsets hold those vertices. Applied to S plus
+      the smallest neighbour v, this writes the row of a q-subset S
+      without v as a sum of rows of q-subsets with v. Those C(|N|-1, q-1)
+      rows, the cone, come first in generator order, and each holds a
+      monomial no other cone row has (its q-1 largest vertices with the
+      colors in order): they are the rows greedy elimination keeps.
+    * Unit-row family: every Delta-subset y of the selector colors leaves
+      a common neighborhood with a clique number below the capped class
+      size. Every kind-P monomial, a Delta-subset of N colored by an
+      ordering of some y, is then a kind-Q row, so the kind-Q rows, all
+      distinct single monomials, are a basis.
+    """
+    cap = min(max(class_size, 0), h.clique_number + 1)
     d = h.max_degree
-    # kind P: no Delta+1 neighbours may be rainbow-colored
-    if len(neighborhood) > d:
-        colors = h.color_ids
-        templates = _selector_templates(h)
-        for s in itertools.combinations(neighborhood, d + 1):
-            table = [(v, c) for v in s for c in colors]
-            for pick in templates:
-                # every monomial has exactly d pairs
-                yield tuple(zip(*[iter(pick(table))] * d))
-    # kind Q: forbid neighborhood palettes that leave no room for the class
-    # clique in the target.
-    for k in range(1, min(d, len(neighborhood)) + 1):
-        seqs = color_sequences(h, class_size, k)
-        if not seqs:
-            continue
-        for s in itertools.combinations(neighborhood, k):
-            for x in seqs:
-                yield (tuple(zip(s, x)),)
+    if cap == 1 and h.clique_number == h.num_colors:
+        return itertools.islice(_kind_p_rows(h, neighborhood),
+                                math.comb(max(len(neighborhood) - 1, 0), d))
+    if all(h.omega_of(h.common_neighborhood(y)) < cap
+           for y in itertools.combinations(h.color_ids[:-1], d)):
+        return _kind_q_rows(h, class_size, neighborhood)
+    return None
 
 
 def class_row_count(h: PatternGraph, class_size: int, nbhd_size: int) -> int:

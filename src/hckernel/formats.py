@@ -19,11 +19,12 @@ header and cross edges ``e <u> <v>`` where u indexes the independent side
 
 from __future__ import annotations
 
-import json
-from typing import IO, Callable
+from typing import IO, TYPE_CHECKING, Callable
 
-from .composer import TriangleSplitInstance
 from .graphs import Graph, PatternGraph
+
+if TYPE_CHECKING:
+    from .composer import TriangleSplitInstance
 
 
 class ParseError(ValueError):
@@ -156,6 +157,8 @@ def _tsd_endpoint_error(m: int, n: int, u: int, v: int) -> str | None:
 
 def parse_tsd(text: str) -> TriangleSplitInstance:
     """Parse a triangle-split instance file."""
+    from .composer import TriangleSplitInstance   # only .tsd files need the composer
+
     m, n, edges = _parse_edge_list(text, "tsd", "<m> <n>", _tsd_endpoint_error)
     return TriangleSplitInstance(m, n, frozenset((u - 1, v - 1) for u, v in edges))
 
@@ -206,5 +209,7 @@ def resolve_pattern(name_or_path: str) -> PatternGraph:
 
 
 def write_json(payload: dict, stream: IO[str]) -> None:
+    import json   # only reports need it
+
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")

@@ -9,6 +9,7 @@ threads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -219,6 +220,16 @@ def is_twin_cover(g: Graph, s: Iterable[int]) -> bool:
 
 
 TWIN_COVER_GUARD = 30
+
+
+def _env_guard(name: str, default: int) -> int:
+    """The vertex guard that environment variable ``name`` sets, else
+    ``default``; a set value that is not a non-negative integer raises
+    ValueError naming the variable."""
+    env = os.environ.get(name, "").strip()
+    if env and not env.isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {env!r}")
+    return int(env) if env else default
 
 
 def min_twin_cover(g: Graph, guard: int | None = TWIN_COVER_GUARD) -> frozenset[int]:

@@ -39,9 +39,10 @@ scratch after every application. Only the work per application is less:
   sets (see ``_SpanEngine``). A refuted test counts the rows the full
   test would have considered;
 * a test that is not refuted reads a basis of each class's rows, not all
-  of them: the family's template, found once per target (``_template``).
-  It spans the same space, so the test and every basis rank are those of
-  the full family.
+  of them: the family's template, found once per target (``_template``),
+  in closed form for K_q singletons and unit-row families. It spans the
+  same space, so the test and every basis rank are those of the full
+  family.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from itertools import combinations, islice
 from operator import itemgetter
 from typing import Iterator
 
-from .constraints import class_row_count, iter_class_constraint_keys, monomial_size
+from .constraints import (class_row_count, closed_form_basis, iter_class_constraint_keys,
+                          monomial_size)
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
 from .graphs import Graph, PatternGraph, twin_decomposition
 
@@ -217,7 +219,8 @@ class _TwinClasses:
 def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
     """The independent rows of a family over positions 0..s-1: those that
     raise the rank when the family's rows are inserted greedily in
-    generator order. They span the whole family.
+    generator order, or the basis ``closed_form_basis`` gives without
+    elimination. They span the whole family.
 
     Rows whose monomials have w (position, color) pairs each are kept
     together, in generator order, as (w, pick, counts): ``pick`` is one
@@ -231,19 +234,21 @@ def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
     key = (min(class_size, h.clique_number + 1), s)
     got = h._template_memo.get(key)
     if got is None:
+        positions = tuple(range(s))
+        rows = closed_form_basis(h, class_size, positions)
+        if rows is None:
+            ids = MonomialInterner()
+            basis = MaskBasis()
+            # a row's keys are distinct, so the sum of their bits is their OR
+            rows = (keys for keys in iter_class_constraint_keys(h, class_size, positions)
+                    if basis.insert(sum(1 << ids[mk] for mk in keys)))
         index = {c: i for i, c in enumerate(h.color_ids)}
         width = len(index)
-        ids = MonomialInterner()
-        basis = MaskBasis()
         groups: dict[int, tuple[list[int], list[int]]] = {}
-        for keys in iter_class_constraint_keys(h, class_size, tuple(range(s))):
-            mask = 0
-            for mk in keys:
-                mask |= 1 << ids[mk]
-            if basis.insert(mask):
-                at, counts = groups.setdefault(len(keys[0]), ([], []))
-                at += [i * width + index[c] for mk in keys for i, c in mk]
-                counts.append(len(keys))
+        for keys in rows:
+            at, counts = groups.setdefault(len(keys[0]), ([], []))
+            at += [i * width + index[c] for mk in keys for i, c in mk]
+            counts.append(len(keys))
         # one index would make itemgetter return the bare pair
         got = h._template_memo[key] = tuple(
             (w, itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1)), tuple(counts))

@@ -12,11 +12,10 @@ by passing ``guard=None`` for no limit.
 
 from __future__ import annotations
 
-import os
 from itertools import chain, repeat
 from typing import Mapping
 
-from .graphs import CapacityError, Graph, PatternGraph
+from .graphs import CapacityError, Graph, PatternGraph, _env_guard
 
 _UNSET = object()
 
@@ -26,16 +25,6 @@ LIST_COLORING_GUARD = 24
 # bad[c] for the palette K3 on {1, 2, 3}: a neighbour of a c-colored
 # vertex loses only c
 _K3_BAD = {c: (c,) for c in (1, 2, 3)}
-
-
-def _env_guard(name: str, default: int) -> int:
-    """The vertex guard that environment variable ``name`` sets, else
-    ``default``; a set value that is not a non-negative integer raises
-    ValueError naming the variable."""
-    env = os.environ.get(name, "").strip()
-    if env and not env.isdecimal():
-        raise ValueError(f"{name} must be a non-negative integer, got {env!r}")
-    return int(env) if env else default
 
 
 def _check_guard(guard, default: int, n: int, what: str) -> None:

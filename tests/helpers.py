@@ -19,9 +19,9 @@ import sys
 import time
 
 from hckernel.constraints import iter_class_constraint_keys
-from hckernel.gf2 import MaskBasis
+from hckernel.gf2 import MaskBasis, MonomialInterner
 from hckernel.graphs import Graph, twin_decomposition
-from hckernel.kernelization import KernelResult, KernelStats, _SpanEngine
+from hckernel.kernelization import KernelResult, KernelStats, _SpanEngine, _template
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -327,6 +327,37 @@ def reference_class_constraint_keys(h, class_size: int, neighborhood: tuple[int,
                 common = h.common_neighborhood(x)
                 if h.omega_of(common) < class_size:
                     yield ("Q", s, x, (tuple(sorted(zip(s, x))),))
+
+
+# -- reference template -----------------------------------------------------
+#
+# How ``hckernel.kernelization._template`` picked every family's basis
+# before the closed forms: insert the rows in generator order and keep
+# those that raise the rank. Kept as the oracle for the closed forms.
+
+def reference_template(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
+    """The rows over positions 0..s-1 that greedy elimination keeps."""
+    ids = MonomialInterner()
+    basis = MaskBasis()
+    kept = []
+    for keys in iter_class_constraint_keys(h, class_size, tuple(range(s))):
+        mask = 0
+        for mk in keys:
+            mask |= 1 << ids[mk]
+        if basis.insert(mask):
+            kept.append(keys)
+    return kept
+
+
+def template_rows(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
+    """The library's template over positions 0..s-1 as rows of monomial
+    keys, group after group."""
+    table = [(i, c) for i in range(s) for c in h.color_ids]
+    rows = []
+    for width, pick, counts in _template(h, class_size, s):
+        keys = iter(zip(*[iter(pick(table))] * width))
+        rows += [tuple(itertools.islice(keys, m)) for m in counts]
+    return rows
 
 
 # -- reference kernelization driver ----------------------------------------

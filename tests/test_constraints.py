@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,13 @@ from hypothesis import strategies as st
 from hckernel.constraints import (
     build_coloring_polynomial,
     class_row_count,
+    closed_form_basis,
     constraint_count_bound,
     evaluate,
     iter_class_constraint_keys,
     monomial_size,
 )
-from hckernel.formats import resolve_pattern
+from hckernel.formats import NAMED_PATTERNS, resolve_pattern
 from hckernel.gf2 import MaskBasis
 from hckernel.graphs import Graph, PatternGraph, twin_decomposition
 from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
@@ -25,7 +27,9 @@ from helpers import (
     enumerate_h_colorings,
     random_graph,
     reference_class_constraint_keys,
+    reference_template,
     row_count,
+    template_rows,
 )
 
 
@@ -350,6 +354,69 @@ class TestTemplates:
         engine = _SpanEngine(h, KernelStats())
         for s in range(1, 11):
             assert len(engine.class_rows(1, frozenset(range(s)))) == math.comb(s - 1, q - 1), s
+
+
+class TestClosedFormTemplates:
+    """K_q singletons and unit-row families get their template without
+    elimination; it must be the basis greedy elimination would keep, or
+    one that spans the family with independent rows."""
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_boundary_identity(self, q):
+        # over {0..q} the rows of the q-subsets sum to 0: every monomial
+        # lies in exactly two of them
+        h = resolve_pattern(f"K{q}")
+        rows = list(iter_class_constraint_keys(h, 1, tuple(range(q + 1))))
+        assert len(rows) == q + 1
+        counts = Counter(key for keys in rows for key in keys)
+        assert counts and set(counts.values()) == {2}
+
+    @pytest.mark.parametrize("name", ["K3", "K4", "K5", "K6"])
+    def test_cone_is_the_greedy_template(self, name):
+        h = resolve_pattern(name)
+        for s in range(13):
+            cone = template_rows(h, 1, s)
+            assert cone == reference_template(h, 1, s), s
+            assert len(cone) == math.comb(max(s - 1, 0), h.max_degree), s
+            assert all(0 in {v for key in keys for v, _c in key} for keys in cone), s
+
+    @pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
+    def test_unit_row_condition(self, name):
+        h = resolve_pattern(name)
+        d = h.max_degree
+        nbhd = tuple(range(d + 1))
+        # the kind-P rows come first, one per selector template
+        kind_p = list(itertools.islice(iter_class_constraint_keys(h, 1, nbhd),
+                                       math.comb(h.num_colors - 1, d)))
+        palettes = {frozenset(c for _v, c in key) for keys in kind_p for key in keys}
+        complete = h.clique_number == h.num_colors
+        for size in range(1, h.clique_number + 3):
+            basis = closed_form_basis(h, size, nbhd)
+            # singletons of a complete target get the cone, tested above;
+            # every other named family with a closed form is unit-row
+            assert (basis is None) == (size == 1 and not complete), size
+            if size == 1:
+                continue
+            # no kind-P monomial's palette leaves room for the class clique,
+            # so each is a kind-Q row
+            assert all(h.omega_of(h.common_neighborhood(p)) < size for p in palettes), size
+            if h.num_colors ** d <= 1000:
+                # small enough to check against the whole family
+                rows = list(iter_class_constraint_keys(h, size, nbhd))
+                unit = [keys for keys in rows if len(keys) == 1]
+                assert list(basis) == unit, size
+                assert {key for keys in rows for key in keys} == {keys[0] for keys in unit}, size
+
+    @pytest.mark.parametrize("name", ["C5", "C7", "petersen"])
+    def test_singletons_without_closed_form_need_elimination(self, name):
+        # some kind-P monomial of a singleton is no kind-Q row, so the
+        # kind-Q rows do not span the family
+        h = ROW_TARGETS[name]
+        nbhd = tuple(range(h.max_degree + 1))
+        rows = list(iter_class_constraint_keys(h, 1, nbhd))
+        unit = {keys[0] for keys in rows if len(keys) == 1}
+        assert closed_form_basis(h, 1, nbhd) is None
+        assert not {key for keys in rows for key in keys} <= unit
 
 
 class TestRowPieceMemo:
