@@ -12,16 +12,8 @@ The composer and the oracles load on first use of one of their names
 
 from importlib import import_module as _import_module
 
-from .constraints import (
-    build_coloring_polynomial,
-    constraint_count_bound,
-    evaluate,
-)
-from .gf2 import (
-    BACKEND as GF2_BACKEND,
-    in_span,
-    monomial_count_bound,
-)
+from .constraints import build_coloring_polynomial, evaluate
+from .gf2 import BACKEND as GF2_BACKEND, in_span
 from .graphs import (
     CapacityError,
     Graph,
@@ -61,8 +53,7 @@ _ON_DEMAND = {
 }
 
 __all__ = [
-    "build_coloring_polynomial", "constraint_count_bound", "evaluate",
-    "GF2_BACKEND", "in_span", "monomial_count_bound",
+    "build_coloring_polynomial", "evaluate", "GF2_BACKEND", "in_span",
     "CapacityError", "Graph", "PatternError", "PatternGraph", "is_twin_cover",
     "min_twin_cover", "twin_decomposition",
     "KernelResult", "KernelStats", "kernel_size_bound", "kernelize",

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 from .oracle import _K3_BAD, _search
@@ -342,9 +342,7 @@ def list_to_plain(inst: ListColoringInstance) -> Graph:
     for color, pid in palette.items():
         adj[pid] = frozenset(wired[color]).union(
             [other for c, other in palette.items() if c != color])
-    labels = {v: g.label_of(v) for v in g.vertices}
-    for color, pid in palette.items():
-        labels[pid] = f"C{color}"
+    labels = {**g.labels, **{pid: f"C{color}" for color, pid in palette.items()}}
     return Graph(vertices, adj, labels)
 
 
@@ -360,26 +358,3 @@ def generate_tsd_instance(m: int, n: int, density: float, seed: int) -> Triangle
                 edges.add((u, v))
     return TriangleSplitInstance(m, n, frozenset(edges))
 
-
-def selector_claim_rows(layout: CompositionLayout, coloring: Mapping[int, int]) -> bool:
-    """Some S block has every copy column constant under the coloring."""
-    for i in range(1, layout.q + 1):
-        if all(
-            len({coloring[layout.s_ids[(i, k, l)]] for k in range(1, 3 * layout.n + 1)}) == 1
-            for l in range(1, layout.m + 1)
-        ):
-            return True
-    return False
-
-
-def selector_claim_triples(layout: CompositionLayout, coloring: Mapping[int, int]) -> bool:
-    """Some T block has every triangle triple colored with 3 distinct colors."""
-    for j in range(1, layout.q + 1):
-        if all(
-            len({coloring[layout.t_ids[(j, 3 * k - 2)]],
-                 coloring[layout.t_ids[(j, 3 * k - 1)]],
-                 coloring[layout.t_ids[(j, 3 * k)]]}) == 3
-            for k in range(1, layout.n + 1)
-        ):
-            return True
-    return False

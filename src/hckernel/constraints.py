@@ -219,8 +219,3 @@ def monomial_size(h: PatternGraph, class_size: int, nbhd_size: int) -> int:
         k -= 1
     return k
 
-
-def constraint_count_bound(n: int, h: PatternGraph) -> int:
-    """Coarse cap on the number of generated rows for an n-vertex host."""
-    d = h.max_degree
-    return 2 * n * n ** (d + 1) * h.num_colors ** (d + 1)

@@ -35,8 +35,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _directive_lines(text: str, labels: dict[int, tuple[int, str]] | None):
-    """(line number, tokens) per directive line; with ``labels``, label
+def _directive_lines(text: str, named: dict[int, tuple[int, str]] | None):
+    """(line number, tokens) per directive line; with ``named``, label
     comments go into it as i -> (line number, name)."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -44,21 +44,21 @@ def _directive_lines(text: str, labels: dict[int, tuple[int, str]] | None):
             continue
         if parts[0] != "c":
             yield line_no, parts
-        elif labels is not None and len(parts) > 2 and parts[1] == "label":
+        elif named is not None and len(parts) > 2 and parts[1] == "label":
             try:
                 i = int(parts[2])
             except ValueError:
                 continue   # free text
             if len(parts) == 3:
                 raise ParseError(line_no, "label without a name")
-            if i in labels:
+            if i in named:
                 raise ParseError(line_no, f"vertex {i} labelled twice")
-            labels[i] = (line_no, raw.split(None, 3)[3].rstrip())
+            named[i] = (line_no, raw.split(None, 3)[3].rstrip())
 
 
 def _parse_edge_list(text: str, kind: str, sizes: str,
                      endpoint_error: Callable[[int, int, int, int], str | None],
-                     labels: dict[int, tuple[int, str]] | None = None
+                     named: dict[int, tuple[int, str]] | None = None
                      ) -> tuple[int, int, set[tuple[int, int]]]:
     """The two header sizes and the distinct 1-based edges of a file with
     a ``p <kind> <sizes>`` header and ``e <u> <v>`` lines.
@@ -68,7 +68,7 @@ def _parse_edge_list(text: str, kind: str, sizes: str,
     """
     dims = None
     edges: set[tuple[int, int]] = set()
-    for line_no, parts in _directive_lines(text, labels):
+    for line_no, parts in _directive_lines(text, named):
         if parts[0] == "p":
             if dims is not None:
                 raise ParseError(line_no, "duplicate problem header")
@@ -111,12 +111,13 @@ def _graph_endpoint_error(n: int, _m: int, u: int, v: int) -> str | None:
 def parse_graph(text: str) -> Graph:
     """Parse the DIMACS-style edge format into a graph.
 
-    Vertex ids become dense 0-based integers; a vertex's label is its name
-    from a ``c label`` comment, else its 1-based id.
+    Vertex ids become dense 0-based integers. The graph's ``labels`` hold
+    the names its ``c label`` comments give; any other vertex is named by
+    its id.
     """
     named: dict[int, tuple[int, str]] = {}
     n, _m, edges = _parse_edge_list(text, "edge", "<n> <m>", _graph_endpoint_error, named)
-    labels = {v: str(v + 1) for v in range(n)}
+    labels = {}
     for i, (line_no, name) in named.items():
         if not 1 <= i <= n:
             raise ParseError(line_no, f"label id out of range 1..{n}")
@@ -127,18 +128,18 @@ def parse_graph(text: str) -> Graph:
 def emit_graph(g: Graph) -> str:
     """Canonical DIMACS-style text: sorted edges, vertices renumbered 1..n.
 
-    When the graph carries non-trivial labels (e.g. a kernel remembering
-    its original vertex names), they are emitted as comments.
+    A vertex whose name differs from its new id (a label, or the old id of
+    a gapped subgraph) gets a ``c label`` comment, so reading the text
+    back names every vertex as ``g.label_of`` does.
     """
     index = {v: i + 1 for i, v in enumerate(g.vertices)}
     # one chunk for all labels and one per vertex for its edges, so the
     # text never exists as one small string per line
     chunks = [f"p edge {g.n} {g.m}"]
-    if g.labels is not None:
-        labels = "\n".join(f"c label {i} {g.label_of(v)}"
-                           for v, i in index.items() if g.label_of(v) != str(i))
-        if labels:
-            chunks.append(labels)
+    labels = "\n".join(f"c label {i} {g.label_of(v)}"
+                       for v, i in index.items() if g.label_of(v) != str(i))
+    if labels:
+        chunks.append(labels)
     # vertices are increasing and so is their renumbering, so walking them
     # in order emits the sorted renumbered edge list
     for u in g.vertices:

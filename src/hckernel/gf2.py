@@ -85,16 +85,6 @@ class MonomialInterner(dict):
         return idx
 
 
-def monomial_count_bound(n: int, d: int) -> int:
-    """Upper bound n**d + 1 on multilinear monomials of degree <= d.
-
-    Exact arithmetic on Python ints, so no overflow handling is needed.
-    """
-    if n < 0 or d < 0:
-        raise ValueError("n and d must be non-negative")
-    return n ** d + 1
-
-
 def in_span(target: Iterable[tuple], generators: Iterable[Iterable[tuple]]) -> bool:
     """True iff target is a mod-2 sum of the generators.
 

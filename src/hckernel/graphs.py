@@ -28,14 +28,14 @@ class Graph:
 
     ``vertices`` is a strictly increasing tuple of ids; ``adj`` maps every
     vertex to the frozenset of its neighbours. Self-loops are rejected.
-    ``labels`` optionally carries original external names for output
+    ``labels`` holds the external names actually given, for output
     fidelity; it is ignored by equality-sensitive algorithms. A vertex
     without a label is named by its 1-based id, as in graph files.
     """
 
     vertices: tuple[int, ...]
     adj: dict[int, frozenset[int]]
-    labels: dict[int, str] | None = field(default=None, compare=False)
+    labels: dict[int, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         vs = self.vertices
@@ -67,7 +67,7 @@ class Graph:
         except (IndexError, KeyError):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}") from None
         # freeze and drop each set in turn, so both forms never coexist
-        return Graph(vs, {v: frozenset(nb.pop(v)) for v in vs}, labels)
+        return Graph(vs, {v: frozenset(nb.pop(v)) for v in vs}, labels or {})
 
     @property
     def n(self) -> int:
@@ -79,9 +79,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as sorted (u, v) pairs with u < v, in lexicographic order."""
@@ -110,19 +107,10 @@ class Graph:
         remove = frozenset(remove)
         vs = tuple(v for v in self.vertices if v not in remove)
         adj = {v: self.adj[v] - remove for v in vs}
-        labels = None
-        if self.labels is not None:
-            labels = {v: self.labels[v] for v in vs if v in self.labels}
-        return Graph(vs, adj, labels)
+        return Graph(vs, adj, {v: name for v, name in self.labels.items() if v not in remove})
 
     def label_of(self, v: int) -> str:
-        if self.labels is not None and v in self.labels:
-            return self.labels[v]
-        return str(v + 1)
-
-    def is_subgraph_of(self, other: "Graph") -> bool:
-        return (set(self.vertices) <= set(other.vertices)
-                and all(self.adj[v] <= other.adj[v] for v in self.vertices))
+        return self.labels[v] if v in self.labels else str(v + 1)
 
 
 @dataclass(eq=False)

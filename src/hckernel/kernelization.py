@@ -455,10 +455,8 @@ def kernelize(g: Graph, h: PatternGraph) -> KernelResult:
             for v in cls:
                 adj[v] = closed - {v}
         vs = tuple(sorted(adj))
-        labels = g.labels
-        if labels is not None:
-            labels = {v: labels[v] for v in vs if v in labels}
-        kernel = Graph(vs, {v: adj[v] for v in vs}, labels)
+        kernel = Graph(vs, {v: adj[v] for v in vs},
+                       {v: name for v, name in g.labels.items() if v in adj})
         stats.kernel_n = kernel.n
         stats.kernel_m = kernel.m
     stats.time_seconds = time.perf_counter() - start

@@ -149,6 +149,12 @@ def brute_list_h_colorings(g: Graph, h: Graph, lists: dict[int, frozenset[int]])
             yield f
 
 
+def is_subgraph(a: Graph, b: Graph) -> bool:
+    """True iff every vertex and edge of a is one of b."""
+    return (set(a.vertices) <= set(b.vertices)
+            and all(a.adj[v] <= b.adj[v] for v in a.vertices))
+
+
 def petersen_edges() -> list[tuple[int, int]]:
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(i, i + 5) for i in range(5)]
@@ -159,13 +165,15 @@ def petersen_edges() -> list[tuple[int, int]]:
 def reference_emit_graph(g: Graph) -> str:
     """The sort-then-join emitter ``hckernel.formats.emit_graph`` replaced:
     one string per line and a sorted list of renumbered edge tuples. The
-    library's emitter must return the same text."""
+    library's emitter must return the same text. Every vertex whose name
+    differs from its new id gets a label comment, whether or not the graph
+    carries any labels: an unlabelled gapped subgraph keeps its ids as
+    names."""
     index = {v: i + 1 for i, v in enumerate(g.vertices)}
     lines = [f"p edge {g.n} {g.m}"]
-    if g.labels is not None:
-        for v in g.vertices:
-            if g.label_of(v) != str(index[v]):
-                lines.append(f"c label {index[v]} {g.label_of(v)}")
+    for v in g.vertices:
+        if g.label_of(v) != str(index[v]):
+            lines.append(f"c label {index[v]} {g.label_of(v)}")
     for u, v in sorted((index[u], index[v]) for u, v in g.edges()):
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
@@ -189,6 +197,48 @@ def reference_list_to_plain(inst) -> Graph:
     for color, pid in palette.items():
         labels[pid] = f"C{color}"
     return Graph.from_edges(base + 3, edges, labels)
+
+
+# -- bounds and composition claims that only the tests assert -------------
+
+def constraint_count_bound(n: int, h) -> int:
+    """Coarse cap on the number of generated rows for an n-vertex host."""
+    d = h.max_degree
+    return 2 * n * n ** (d + 1) * h.num_colors ** (d + 1)
+
+
+def monomial_count_bound(n: int, d: int) -> int:
+    """Upper bound n**d + 1 on multilinear monomials of degree <= d.
+
+    Exact arithmetic on Python ints, so no overflow handling is needed.
+    """
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be non-negative")
+    return n ** d + 1
+
+
+def selector_claim_rows(layout, coloring) -> bool:
+    """Some S block has every copy column constant under the coloring."""
+    for i in range(1, layout.q + 1):
+        if all(
+            len({coloring[layout.s_ids[(i, k, l)]] for k in range(1, 3 * layout.n + 1)}) == 1
+            for l in range(1, layout.m + 1)
+        ):
+            return True
+    return False
+
+
+def selector_claim_triples(layout, coloring) -> bool:
+    """Some T block has every triangle triple colored with 3 distinct colors."""
+    for j in range(1, layout.q + 1):
+        if all(
+            len({coloring[layout.t_ids[(j, 3 * k - 2)]],
+                 coloring[layout.t_ids[(j, 3 * k - 1)]],
+                 coloring[layout.t_ids[(j, 3 * k)]]}) == 3
+            for k in range(1, layout.n + 1)
+        ):
+            return True
+    return False
 
 
 # -- reference list-coloring search ---------------------------------------

@@ -27,15 +27,9 @@ from hckernel.composer import (
     compose,
     gadget_extends,
     list_to_plain,
-    selector_claim_rows,
-    selector_claim_triples,
 )
-from hckernel.constraints import (
-    build_coloring_polynomial,
-    constraint_count_bound,
-    evaluate,
-)
-from hckernel.gf2 import in_span, monomial_count_bound
+from hckernel.constraints import build_coloring_polynomial, evaluate
+from hckernel.gf2 import in_span
 from hckernel.graphs import (
     Graph,
     PatternGraph,
@@ -50,7 +44,18 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph, reference_kernelize, replay, row_count, run_summary
+from helpers import (
+    constraint_count_bound,
+    is_subgraph,
+    monomial_count_bound,
+    random_graph,
+    reference_kernelize,
+    replay,
+    row_count,
+    run_summary,
+    selector_claim_rows,
+    selector_claim_triples,
+)
 
 
 def clique(n):
@@ -190,7 +195,7 @@ def test_criterion_3_subgraph_and_monotonicity(corpus_records):
     steps = 0
     for rec in records:
         if not rec.trivial_no:
-            assert rec.kernel.is_subgraph_of(rec.graph)
+            assert is_subgraph(rec.kernel, rec.graph)
         previous = rec.input_cover
         for size in rec.step_covers:
             assert size <= previous, (rec.pattern, list(rec.graph.edges()))

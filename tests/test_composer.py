@@ -14,8 +14,6 @@ from hckernel.composer import (
     gadget_extends,
     generate_tsd_instance,
     list_to_plain,
-    selector_claim_rows,
-    selector_claim_triples,
 )
 from hckernel.graphs import Graph
 from hckernel.oracle import (
@@ -24,7 +22,12 @@ from hckernel.oracle import (
     find_list_3_coloring,
 )
 
-from helpers import random_graph, reference_list_to_plain
+from helpers import (
+    random_graph,
+    reference_list_to_plain,
+    selector_claim_rows,
+    selector_claim_triples,
+)
 
 COLORABLE = TriangleSplitInstance(1, 1, frozenset())
 UNCOLORABLE = TriangleSplitInstance(1, 1, frozenset({(0, 0), (0, 1), (0, 2)}))
@@ -35,8 +38,8 @@ class TestTriangleSplitInstance:
         inst = TriangleSplitInstance(2, 2, frozenset({(0, 0), (1, 5)}))
         g = inst.to_graph()
         assert g.n == 8 and g.m == 2 + 6
-        assert not g.has_edge(0, 1)          # independent side stays edgeless
-        assert g.has_edge(2, 3) and g.has_edge(5, 7)
+        assert 1 not in g.adj[0]          # independent side stays edgeless
+        assert 3 in g.adj[2] and 7 in g.adj[5]
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -118,8 +121,8 @@ class TestListToPlain:
         inst = ListColoringInstance(Graph.from_edges(1, []), {0: frozenset({2})})
         plain = list_to_plain(inst)
         # palette ids are the three highest, in color order
-        assert plain.has_edge(0, 1) and plain.has_edge(0, 3)
-        assert not plain.has_edge(0, 2)
+        assert 1 in plain.adj[0] and 3 in plain.adj[0]
+        assert 2 not in plain.adj[0]
         assert find_3_coloring(plain) is not None
 
     def test_infeasible_lists_propagate(self):
@@ -139,7 +142,8 @@ class TestListToPlain:
             inst = ListColoringInstance(g, lists)
             got, want = list_to_plain(inst), reference_list_to_plain(inst)
             assert got == want
-            assert got.labels == want.labels
+            assert [got.label_of(v) for v in got.vertices] == \
+                [want.label_of(v) for v in want.vertices]
 
     def test_equivalence_on_random_instances(self):
         rng = random.Random(61)
@@ -200,8 +204,8 @@ class TestCompose:
         inst, layout = compose([COLORABLE, probe, COLORABLE, COLORABLE])
         s = layout.s_ids[(1, 2, 1)]
         t = layout.t_ids[(2, 2)]
-        assert inst.graph.has_edge(s, t)
-        assert not inst.graph.has_edge(layout.s_ids[(1, 2, 1)], layout.t_ids[(1, 2)])
+        assert t in inst.graph.adj[s]
+        assert layout.t_ids[(1, 2)] not in inst.graph.adj[layout.s_ids[(1, 2, 1)]]
 
     def test_sqrt_t_scaling(self):
         base = [COLORABLE, UNCOLORABLE, UNCOLORABLE, UNCOLORABLE]

@@ -13,7 +13,6 @@ from hckernel.constraints import (
     build_coloring_polynomial,
     class_row_count,
     closed_form_basis,
-    constraint_count_bound,
     evaluate,
     iter_class_constraint_keys,
     monomial_size,
@@ -24,6 +23,7 @@ from hckernel.graphs import Graph, PatternGraph, twin_decomposition
 from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
 
 from helpers import (
+    constraint_count_bound,
     enumerate_h_colorings,
     random_graph,
     reference_class_constraint_keys,

@@ -1,12 +1,15 @@
 """File formats and the command-line surface."""
 
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hckernel import cli
-from hckernel.composer import ListColoringInstance, TriangleSplitInstance, list_to_plain
+from hckernel import cli, kernelize
+from hckernel.composer import ListColoringInstance, TriangleSplitInstance, compose, list_to_plain
 from hckernel.formats import (
     ParseError,
     emit_graph,
@@ -92,7 +95,8 @@ class TestEmitGraph:
         # the same edges and vertex names, on the ids renumbered 0..n-1
         index = {v: i for i, v in enumerate(g.vertices)}
         assert set(back.edges()) == {(index[u], index[v]) for u, v in g.edges()}
-        assert back.labels == {index[v]: name for v, name in g.labels.items()}
+        assert [back.label_of(v) for v in back.vertices] == [g.label_of(v) for v in g.vertices]
+        assert [g.label_of(v) for v in g.vertices] == ["2", "4", "5"]
 
     def test_unlabelled_vertex_named_by_one_based_id(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)], labels={0: "a"})
@@ -111,7 +115,8 @@ class TestEmitGraph:
 
     def test_label_name_is_rest_of_line(self):
         g = parse_graph("p edge 2 1\nc label 2 old  name \nc label x free text\ne 1 2\n")
-        assert g.labels == {0: "1", 1: "old  name"}
+        assert [g.label_of(v) for v in g.vertices] == ["1", "old  name"]
+        assert g.labels == {1: "old  name"}   # only the names the file gives
 
     def test_label_id_out_of_range(self):
         with pytest.raises(ParseError, match="line 2: label id out of range 1..2"):
@@ -136,9 +141,75 @@ class TestEmitGraph:
             g = random_graph(rng.randint(0, 14), rng.choice([0.1, 0.3, 0.6]), rng)
             labels = {v: rng.choice([str(v), str(v + 1), f"x{v}"])
                       for v in g.vertices if rng.random() < 0.7}
-            g = Graph(g.vertices, g.adj, labels or None)
+            g = Graph(g.vertices, g.adj, labels)
             g = g.without_vertices(v for v in g.vertices if rng.random() < 0.3)
             assert emit_graph(g) == reference_emit_graph(g)
+
+
+@functools.cache
+def composed_plain(cross: frozenset) -> Graph:
+    inst, _layout = compose([TriangleSplitInstance(1, 1, cross)])
+    return list_to_plain(inst)
+
+
+NAMES = st.one_of(st.integers(1, 12).map(str),
+                  st.text("xy z", min_size=1, max_size=4).map(str.strip).filter(bool))
+
+
+@st.composite
+def named_graphs(draw):
+    """A graph from each source of vertex names: unlabelled
+    ``Graph.from_edges``, ``parse_graph`` of a file whose ``c label``
+    lines name some vertices (names may look like other vertices' ids),
+    and the plain form of a composed instance, which names every vertex."""
+    source = draw(st.sampled_from(("from_edges", "parsed", "composed")))
+    if source == "composed":
+        return composed_plain(frozenset(draw(st.sets(st.sampled_from([(0, 0), (0, 1), (0, 2)])))))
+    rng = draw(st.randoms(use_true_random=False))
+    g = random_graph(draw(st.integers(0, 9)), draw(st.sampled_from((0.2, 0.5, 0.8))), rng)
+    if source == "from_edges":
+        return g
+    named = draw(st.dictionaries(st.integers(1, g.n), NAMES)) if g.n else {}
+    lines = [f"c label {i} {name}" for i, name in named.items()]
+    lines.append(f"p edge {g.n} {g.m}")
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    rng.shuffle(lines)
+    lines.sort(key=lambda ln: ln.startswith("e "))   # the header before any edge
+    return parse_graph("\n".join(lines) + "\n")
+
+
+class TestNamingRule:
+    """A vertex is named by its label, else by its 1-based id, and the
+    emitted text keeps every name, whatever graph it came from."""
+
+    def test_gapped_unlabelled_subgraph_keeps_its_names(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+        sub = g.without_vertices([1])
+        text = emit_graph(sub)
+        assert "c label 2 3" in text
+        assert sub.labels == {}
+        assert emit_graph(parse_graph("p edge 6 7\n" + "".join(
+            f"e {u + 1} {v + 1}\n" for u, v in g.edges())).without_vertices([1])) == text
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_emitted_text_names_every_vertex(self, data):
+        g = data.draw(named_graphs())
+        keep = data.draw(st.sets(st.sampled_from(g.vertices), max_size=12)) if g.n else set()
+        sub = g.without_vertices(v for v in g.vertices if v not in keep)
+        graphs = [g, sub]
+        # a whole composed instance is only emitted: its palette vertices'
+        # row families do not fit in memory (ROADMAP item 9)
+        for h in ("K3", "C5"):
+            for x in (sub, g) if g.n <= 12 else (sub,):
+                res = kernelize(x, resolve_pattern(h))
+                if res.graph is not None:
+                    graphs.append(res.graph)
+        for x in graphs:
+            back = parse_graph(emit_graph(x))
+            index = {v: i for i, v in enumerate(x.vertices)}
+            assert set(back.edges()) == {(index[u], index[v]) for u, v in x.edges()}
+            assert [back.label_of(v) for v in back.vertices] == [x.label_of(v) for v in x.vertices]
 
 
 class TestTsdFormat:

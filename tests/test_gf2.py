@@ -9,7 +9,9 @@ import pytest
 
 import hckernel
 from hckernel.constraints import evaluate
-from hckernel.gf2 import MaskBasis, MonomialInterner, in_span, monomial_count_bound
+from hckernel.gf2 import MaskBasis, MonomialInterner, in_span
+
+from helpers import monomial_count_bound
 
 
 def mono(*pairs):

@@ -13,8 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the package's export list; the composer and oracle names load on demand
 EXPORTS = {
-    "hckernel.constraints": ("build_coloring_polynomial", "constraint_count_bound", "evaluate"),
-    "hckernel.gf2": ("in_span", "monomial_count_bound"),
+    "hckernel.constraints": ("build_coloring_polynomial", "evaluate"),
+    "hckernel.gf2": ("in_span",),
     "hckernel.graphs": ("CapacityError", "Graph", "PatternError", "PatternGraph",
                         "is_twin_cover", "min_twin_cover", "twin_decomposition"),
     "hckernel.kernelization": ("KernelResult", "KernelStats", "kernel_size_bound", "kernelize"),
