@@ -6,18 +6,21 @@ answered TRIVIAL-NO.
 
 Environment knobs: HCKERNEL_SOLVE_GUARD (vertex guard for the exact
 solvers), HCKERNEL_COVER_GUARD (vertex guard for the exact twin-cover).
+This module is the only one that reads them; the library takes every
+guard as a ``guard`` argument.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
 from . import formats, kernelization
-from .graphs import (TWIN_COVER_GUARD, CapacityError, PatternError, _env_guard,
-                     min_twin_cover, twin_decomposition)
+from .graphs import (TWIN_COVER_GUARD, CapacityError, PatternError, min_twin_cover,
+                     twin_decomposition)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -25,6 +28,16 @@ EXIT_USAGE = 2
 EXIT_TRIVIAL_NO = 3
 
 TRIVIAL_NO_MARKER = "TRIVIAL-NO"
+
+
+def _env_guard(name: str, default: int) -> int:
+    """The vertex guard that environment variable ``name`` sets, else
+    ``default``; a set value that is not a non-negative integer raises
+    ValueError naming the variable."""
+    env = os.environ.get(name, "").strip()
+    if env and not env.isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {env!r}")
+    return int(env) if env else default
 
 
 def _read(path: str) -> str:
@@ -84,7 +97,8 @@ def _cmd_solve(args) -> int:
 
     g = formats.parse_graph(_read(args.graph))
     h = formats.resolve_pattern(args.pattern)
-    witness = oracle.find_h_coloring(g, h)
+    guard = _env_guard("HCKERNEL_SOLVE_GUARD", oracle.H_COLORING_GUARD)
+    witness = oracle.find_h_coloring(g, h, guard=guard)
     if witness is None:
         print("NOT-COLORABLE")
         return EXIT_OK

@@ -9,13 +9,18 @@ threads.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
 class CapacityError(RuntimeError):
     """An exact routine was asked to exceed its configured size guard."""
+
+
+def _check_guard(n: int, guard: int | None, what: str) -> None:
+    """Raise CapacityError when n vertices exceed ``guard`` (None: no limit)."""
+    if guard is not None and n > guard:
+        raise CapacityError(f"{what} guard exceeded: {n} > {guard} vertices")
 
 
 class PatternError(ValueError):
@@ -210,16 +215,6 @@ def is_twin_cover(g: Graph, s: Iterable[int]) -> bool:
 TWIN_COVER_GUARD = 30
 
 
-def _env_guard(name: str, default: int) -> int:
-    """The vertex guard that environment variable ``name`` sets, else
-    ``default``; a set value that is not a non-negative integer raises
-    ValueError naming the variable."""
-    env = os.environ.get(name, "").strip()
-    if env and not env.isdecimal():
-        raise ValueError(f"{name} must be a non-negative integer, got {env!r}")
-    return int(env) if env else default
-
-
 def min_twin_cover(g: Graph, guard: int | None = TWIN_COVER_GUARD) -> frozenset[int]:
     """Exact minimum twin-cover by branch and bound: a smallest vertex set
     meeting every edge whose endpoints are not true twins.
@@ -228,8 +223,7 @@ def min_twin_cover(g: Graph, guard: int | None = TWIN_COVER_GUARD) -> frozenset[
     This is a measurement tool for statistics and tests; the kernelization
     itself never calls it.
     """
-    if guard is not None and g.n > guard:
-        raise CapacityError(f"min_twin_cover guard exceeded: {g.n} > {guard} vertices")
+    _check_guard(g.n, guard, "min_twin_cover")
     edges = _non_twin_edges(g)
     if not edges:
         return frozenset()

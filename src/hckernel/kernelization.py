@@ -151,7 +151,6 @@ class _TwinClasses:
         self.nbhd: dict[int, frozenset[int]] = {}
         self.class_of: dict[int, int] = {}
         self._by_closed: dict[frozenset[int], int] = {}
-        self._closed: dict[int, frozenset[int]] = {}   # anchor -> its _by_closed key
         for cls in classes:
             nbhd = g.neighborhood_of_set(cls)
             self._put(cls, nbhd, nbhd | cls)
@@ -163,7 +162,6 @@ class _TwinClasses:
         self.members[anchor] = cls
         self.nbhd[anchor] = nbhd
         self._by_closed[closed] = anchor
-        self._closed[anchor] = closed
         for v in cls:
             self.class_of[v] = anchor
         return anchor
@@ -194,8 +192,7 @@ class _TwinClasses:
         del ranked[bisect_left(ranked, entry)]
         self.total -= entry[0]
         cls = self.members.pop(anchor)
-        del self.nbhd[anchor]
-        del self._by_closed[self._closed.pop(anchor)]
+        del self._by_closed[self.nbhd.pop(anchor) | cls]
         for v in cls:
             del self.class_of[v]
         return cls

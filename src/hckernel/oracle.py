@@ -3,11 +3,11 @@
 Every entry point poses a list H-coloring instance to the same search:
 homomorphism existence gives each host vertex all of V(H), and the
 3-coloring variants are list K3-coloring with lists inside {1, 2, 3}.
-These are desk-scale exact solvers guarded by configurable vertex limits;
-they exist to validate the kernelization and the instance composition,
-never to compete with real coloring solvers. Guards can be overridden via
-the HCKERNEL_SOLVE_GUARD environment variable (a non-negative integer) or
-by passing ``guard=None`` for no limit.
+These are desk-scale exact solvers that refuse hosts above a vertex
+guard; they exist to validate the kernelization and the instance
+composition, never to compete with real coloring solvers. The guard is
+the ``guard`` argument (None: no limit), defaulting to H_COLORING_GUARD
+or LIST_COLORING_GUARD.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from typing import Mapping
 
-from .graphs import CapacityError, Graph, PatternGraph, _env_guard
-
-_UNSET = object()
+from .graphs import Graph, PatternGraph, _check_guard
 
 H_COLORING_GUARD = 20
 LIST_COLORING_GUARD = 24
@@ -25,18 +23,6 @@ LIST_COLORING_GUARD = 24
 # bad[c] for the palette K3 on {1, 2, 3}: a neighbour of a c-colored
 # vertex loses only c
 _K3_BAD = {c: (c,) for c in (1, 2, 3)}
-
-
-def _check_guard(guard, default: int, n: int, what: str) -> None:
-    """Raise CapacityError when n exceeds the resolved guard.
-
-    An explicit ``guard`` wins (None: no limit), then the
-    HCKERNEL_SOLVE_GUARD environment variable, then ``default``.
-    """
-    if guard is _UNSET:
-        guard = _env_guard("HCKERNEL_SOLVE_GUARD", default)
-    if guard is not None and n > guard:
-        raise CapacityError(f"{what} guard exceeded: {n} > {guard} vertices")
 
 
 def _components(adj, left: set[int]) -> list[set[int]]:
@@ -289,13 +275,14 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     return dict(assigned) if solved else None
 
 
-def find_h_coloring(g: Graph, h: PatternGraph, guard=_UNSET) -> dict[int, int] | None:
+def find_h_coloring(g: Graph, h: PatternGraph,
+                    guard: int | None = H_COLORING_GUARD) -> dict[int, int] | None:
     """Search for an edge-preserving map from g into the target.
 
     Returns a vertex -> target-vertex dict, or None when no homomorphism
     exists. The witness is deterministic.
     """
-    _check_guard(guard, H_COLORING_GUARD, g.n, "h-coloring")
+    _check_guard(g.n, guard, "h-coloring")
     colors = h.color_ids
     hadj = h.graph.adj
     bad = {c: tuple(x for x in colors if x not in hadj[c]) for c in colors}
@@ -317,14 +304,14 @@ def verify_h_coloring(g: Graph, h: PatternGraph, f: Mapping[int, int]) -> bool:
     return True
 
 
-def find_list_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
+def find_list_3_coloring(inst, guard: int | None = LIST_COLORING_GUARD) -> dict[int, int] | None:
     """Proper coloring of a list instance with lists inside {1, 2, 3}.
 
     Returns a vertex -> color dict, or None (immediately when some list is
     empty). ``inst`` is a composer.ListColoringInstance.
     """
     g = inst.graph
-    _check_guard(guard, LIST_COLORING_GUARD, g.n, "list-coloring")
+    _check_guard(g.n, guard, "list-coloring")
     domains = {v: set(inst.lists[v]) for v in g.vertices}
     return _search(g.adj, g.vertices, domains, _K3_BAD)
 
@@ -356,16 +343,16 @@ def _pin_cliques(adj, vertices, domains: dict[int, set[int]]) -> None:
             domains[u] = {color}
 
 
-def find_3_coloring(g: Graph, guard=_UNSET) -> dict[int, int] | None:
+def find_3_coloring(g: Graph, guard: int | None = LIST_COLORING_GUARD) -> dict[int, int] | None:
     """Plain proper 3-coloring (all lists {1, 2, 3}), with one clique per
     component pinned to colors 1, 2, 3 before the search."""
-    _check_guard(guard, LIST_COLORING_GUARD, g.n, "3-coloring")
+    _check_guard(g.n, guard, "3-coloring")
     domains = {v: {1, 2, 3} for v in g.vertices}
     _pin_cliques(g.adj, g.vertices, domains)
     return _search(g.adj, g.vertices, domains, _K3_BAD)
 
 
-def find_2_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
+def find_2_3_coloring(inst, guard: int | None = LIST_COLORING_GUARD) -> dict[int, int] | None:
     """Proper 3-coloring of a triangle-split instance with the independent
     side restricted to colors {1, 2}.
 
@@ -374,6 +361,6 @@ def find_2_3_coloring(inst, guard=_UNSET) -> dict[int, int] | None:
     composer.TriangleSplitInstance.
     """
     g = inst.to_graph()
-    _check_guard(guard, LIST_COLORING_GUARD, g.n, "2-3-coloring")
+    _check_guard(g.n, guard, "2-3-coloring")
     domains = {v: ({1, 2} if v < inst.u_size else {1, 2, 3}) for v in g.vertices}
     return _search(g.adj, g.vertices, domains, _K3_BAD)

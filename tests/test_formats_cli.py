@@ -370,6 +370,17 @@ class TestCli:
         assert json.loads(stats.read_text())["cover"] == {"error": message}
         assert f"warning: {message}" in capsys.readouterr().err
 
+    def test_solve_guard_env_override(self, tmp_path, capsys, monkeypatch):
+        graph_file = tmp_path / "g.col"
+        graph_file.write_text("p edge 21 0\n")
+        argv = ["solve", "--graph", str(graph_file), "--pattern", "K3"]
+        monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", "25")
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == "COLORABLE\n"
+        monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", "5")
+        assert cli.main(argv) == cli.EXIT_FAILURE
+        assert "guard exceeded" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["x", "-1"])
     def test_solve_malformed_guard_fails_naming_it(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", value)

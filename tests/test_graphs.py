@@ -140,7 +140,8 @@ class TestTwinCover:
 
     def test_guard(self):
         g = Graph.from_edges(31, [])
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError,
+                           match=r"^min_twin_cover guard exceeded: 31 > 30 vertices$"):
             min_twin_cover(g, guard=30)
         assert min_twin_cover(g, guard=None) == frozenset()
 

@@ -75,13 +75,12 @@ class TestFindHColoring:
             find_h_coloring(g, K3)
         assert find_h_coloring(g, K3, guard=None) is not None
 
-    def test_guard_env_override(self, monkeypatch):
-        g = Graph.from_edges(21, [])
+    def test_guard_ignores_environment(self, monkeypatch):
+        # the library's guard is its argument; only the CLI reads the
+        # environment variable
         monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", "25")
-        assert find_h_coloring(g, K3) is not None
-        monkeypatch.setenv("HCKERNEL_SOLVE_GUARD", "5")
-        with pytest.raises(CapacityError):
-            find_h_coloring(g, K3)
+        with pytest.raises(CapacityError, match="h-coloring guard exceeded: 21 > 20"):
+            find_h_coloring(Graph.from_edges(21, []), K3)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(51)
