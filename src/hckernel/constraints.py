@@ -19,10 +19,10 @@ k < Delta(H) only, so (Delta(H)+1)-color subsets with the same Delta(H)
 smallest colors give the same row, and the Delta(H)-subsets of all colors
 but the last give each row once. The kind-Q color sequences of length k
 depend only on the target and the class size capped at omega(H)+1. Both
-pieces are memoized on the ``PatternGraph`` and built on first need, so
-``iter_class_constraint_keys`` only relabels them. Only this module knows
-the families' shape: ``class_row_count``, ``monomial_size`` and
-``closed_form_basis``.
+pieces, and the row counts, are memoized on the ``PatternGraph`` and built
+on first need, so ``iter_class_constraint_keys`` only relabels the pieces.
+Only this module knows the families' shape: ``class_row_count``,
+``monomial_size`` and ``closed_form_basis``.
 """
 
 from __future__ import annotations
@@ -198,11 +198,16 @@ def closed_form_basis(h: PatternGraph, class_size: int,
 
 def class_row_count(h: PatternGraph, class_size: int, nbhd_size: int) -> int:
     """The number of rows ``iter_class_constraint_keys`` yields for a class
-    with ``nbhd_size`` neighbours, without building any."""
-    d = h.max_degree
-    total = math.comb(nbhd_size, d + 1) * math.comb(h.num_colors - 1, d)
-    for k in range(1, min(d, nbhd_size) + 1):
-        total += math.comb(nbhd_size, k) * len(color_sequences(h, class_size, k))
+    with ``nbhd_size`` neighbours, without building any; memoized on the
+    pattern per (class size, ``nbhd_size``)."""
+    key = (class_size, nbhd_size)
+    total = h._row_count_memo.get(key)
+    if total is None:
+        d = h.max_degree
+        total = math.comb(nbhd_size, d + 1) * math.comb(h.num_colors - 1, d)
+        for k in range(1, min(d, nbhd_size) + 1):
+            total += math.comb(nbhd_size, k) * len(color_sequences(h, class_size, k))
+        h._row_count_memo[key] = total
     return total
 
 

@@ -62,10 +62,6 @@ class MaskBasis:
         """True iff the row is a GF(2) combination of the stored rows."""
         return self._reduce(mask) == 0
 
-    def rows(self) -> list[int]:
-        """Stored rows, highest pivot first."""
-        return [self._pivots[p] for p in sorted(self._pivots, reverse=True)]
-
 
 class MonomialInterner(dict):
     """Key -> bit index map that interns a key the first time it is indexed.

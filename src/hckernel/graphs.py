@@ -140,6 +140,8 @@ class PatternGraph:
     # per (capped class size, |N|): a family's independent rows, filled on
     # first use by hckernel.kernelization
     _template_memo: dict[tuple[int, int], tuple] = field(default_factory=dict, repr=False)
+    # per (class size, |N|): a family's row count, filled by class_row_count
+    _row_count_memo: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         h = self.graph

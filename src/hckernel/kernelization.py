@@ -145,8 +145,8 @@ class _TwinClasses:
     whose closed neighborhood it now equals. Every other entry stays valid.
     """
 
-    def __init__(self, g: Graph, classes: tuple[frozenset[int], ...], engine: "_SpanEngine"):
-        self._estimate = engine.estimate_rows
+    def __init__(self, g: Graph, classes: tuple[frozenset[int], ...], h: PatternGraph):
+        self.h = h
         self.members: dict[int, frozenset[int]] = {}
         self.nbhd: dict[int, frozenset[int]] = {}
         self.class_of: dict[int, int] = {}
@@ -168,7 +168,7 @@ class _TwinClasses:
 
     def entry(self, anchor: int) -> tuple[int, int]:
         """The class's entry in ``ranked``."""
-        return self._estimate(len(self.members[anchor]), len(self.nbhd[anchor])), anchor
+        return class_row_count(self.h, len(self.members[anchor]), len(self.nbhd[anchor])), anchor
 
     def add(self, cls: frozenset[int], nbhd: frozenset[int]) -> int:
         """Insert a class of mutual twins, merging it with the class of the
@@ -288,19 +288,10 @@ class _SpanEngine:
         self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
         self._rows: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
-        self._estimates: dict[tuple[int, int], int] = {}
-
-    def estimate_rows(self, class_size: int, nbhd_size: int) -> int:
-        """Exact row count for a class (``class_row_count``), memoized."""
-        key = (class_size, nbhd_size)
-        total = self._estimates.get(key)
-        if total is None:
-            total = self._estimates[key] = class_row_count(self.h, class_size, nbhd_size)
-        return total
 
     def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
         """The bitmasks of a class's template rows relabelled onto its
-        neighborhood, in increasing order: a basis of its family's span."""
+        neighborhood, in template order: a basis of its family's span."""
         key = (class_size, neighborhood)
         got = self._rows.get(key)
         if got is None:
@@ -315,7 +306,7 @@ class _SpanEngine:
                     for mk in islice(keys, m):
                         mask |= 1 << ids[mk]
                     masks.append(mask)
-            got = self._rows[key] = tuple(sorted(masks))
+            got = self._rows[key] = tuple(masks)
         return got
 
     def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
@@ -352,13 +343,13 @@ class _SpanEngine:
         stats.span_tests += 1
         members = tc.members
         p1, p2 = members[a1], members[a2]
-        if not self.estimate_rows(len(p1), len(tc.nbhd[a1])):
+        if not class_row_count(self.h, len(p1), len(tc.nbhd[a1])):
             # empty target set is vacuously in any span
             return True
 
         reduced = {a1: tc.nbhd[a1] - p2, a2: tc.nbhd[a2] - p1}
         # the two classes' ranking entries once E(p1, p2) is deleted
-        swapped = sorted((self.estimate_rows(len(members[a]), len(nbhd)), a)
+        swapped = sorted((class_row_count(self.h, len(members[a]), len(nbhd)), a)
                          for a, nbhd in reduced.items())
         if self._refuted(tc, a1, a2):
             # a failing test feeds every source; the estimates are exact
@@ -402,7 +393,7 @@ def kernelize(g: Graph, h: PatternGraph) -> KernelResult:
     pi = twin_decomposition(g)
     stats = KernelStats(input_n=g.n, input_m=g.m, twin_classes=len(pi))
     engine = _SpanEngine(h, stats)
-    tc = _TwinClasses(g, pi, engine)
+    tc = _TwinClasses(g, pi, h)
     history = []
 
     changed = sorted(tc.members)   # classes whose rule 1/3 status may differ

@@ -131,8 +131,6 @@ def _search(adj, vertices, domains: dict[int, set[int]],
     drives the generators from a plain list, so the search depth is not
     bounded by the interpreter's recursion limit.
     """
-    if any(not d for d in domains.values()):
-        return None
     assigned: dict[int, int] = {}
     # (v, None) records an assignment, (v, c) the removal of c from v's list
     trail: list[tuple[int, int | None]] = []
@@ -307,8 +305,8 @@ def verify_h_coloring(g: Graph, h: PatternGraph, f: Mapping[int, int]) -> bool:
 def find_list_3_coloring(inst, guard: int | None = LIST_COLORING_GUARD) -> dict[int, int] | None:
     """Proper coloring of a list instance with lists inside {1, 2, 3}.
 
-    Returns a vertex -> color dict, or None (immediately when some list is
-    empty). ``inst`` is a composer.ListColoringInstance.
+    Returns a vertex -> color dict, or None. ``inst`` is a
+    composer.ListColoringInstance, whose lists are never empty.
     """
     g = inst.graph
     _check_guard(g.n, guard, "list-coloring")

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 
-from hckernel.constraints import iter_class_constraint_keys
+from hckernel.constraints import class_row_count, iter_class_constraint_keys
 from hckernel.gf2 import MaskBasis, MonomialInterner
 from hckernel.graphs import Graph, twin_decomposition
 from hckernel.kernelization import KernelResult, KernelStats, _SpanEngine, _template
@@ -215,6 +215,11 @@ def monomial_count_bound(n: int, d: int) -> int:
     if n < 0 or d < 0:
         raise ValueError("n and d must be non-negative")
     return n ** d + 1
+
+
+def basis_rows(basis: MaskBasis) -> list[int]:
+    """The rows a ``MaskBasis`` stores, highest pivot first."""
+    return [basis._pivots[p] for p in sorted(basis._pivots, reverse=True)]
 
 
 def selector_claim_rows(layout, coloring) -> bool:
@@ -415,17 +420,17 @@ def template_rows(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
 # The restart-everything driver that ``kernelize`` replaced, kept as the
 # differential oracle: after every rule application it recomputes the twin
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
-# It shares ``_SpanEngine`` with the library for the row estimate that
-# ranks the pairs and the monomial interner, but feeds every test all of a
-# family's rows (``FullRowEngine``), not the library's template of
-# independent rows; so the differential checks that templates change no
-# answer and no basis rank. It cannot catch a row-generation bug;
-# ``reference_class_constraint_keys`` is the oracle for that. It counts
-# ``rows_considered`` from the generator itself, so the differential also
-# checks the library's estimate-based count. It decides the neighborhood
-# refutation of a span test with its own code and still eliminates every
-# test in full, so refuting a test that the elimination passes trips an
-# assertion here.
+# It shares ``class_row_count`` with the library for the row estimate
+# that ranks the pairs, and ``_SpanEngine`` for the monomial interner, but
+# feeds every test all of a family's rows (``FullRowEngine``), not the
+# library's template of independent rows; so the differential checks that
+# templates change no answer and no basis rank. It cannot catch a
+# row-generation bug; ``reference_class_constraint_keys`` is the oracle
+# for that. It counts ``rows_considered`` from the generator itself, so
+# the differential also checks the library's estimate-based count. It
+# decides the neighborhood refutation of a span test with its own code and
+# still eliminates every test in full, so refuting a test that the
+# elimination passes trips an assertion here.
 
 @functools.cache
 def row_count(h, class_size: int, neighborhood: frozenset[int]) -> int:
@@ -491,7 +496,7 @@ def _reference_rule2(engine: _SpanEngine, g: Graph, pi, p1, p2) -> Graph | None:
             nbhd -= p2
         elif cls == p2:
             nbhd -= p1
-        sources.append((engine.estimate_rows(len(cls), len(nbhd)),
+        sources.append((class_row_count(engine.h, len(cls), len(nbhd)),
                         min(cls), len(cls), nbhd))
     sources.sort(key=lambda s: (s[0], s[1]))
 
@@ -525,7 +530,7 @@ def _reference_pairs(g: Graph, pi, engine: _SpanEngine):
     ranked = []
     for p1 in classes:
         nbhd = g.neighborhood_of_set(p1)
-        cost = engine.estimate_rows(len(p1), len(nbhd))
+        cost = class_row_count(engine.h, len(p1), len(nbhd))
         for p2 in classes:
             if p1 is not p2 and nbhd & p2:
                 ranked.append((cost, min(p1), min(p2), p1, p2))

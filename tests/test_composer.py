@@ -45,6 +45,10 @@ class TestTriangleSplitInstance:
         with pytest.raises(ValueError):
             TriangleSplitInstance(1, 1, frozenset({(0, 3)}))
 
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(ValueError, match="sizes must be non-negative"):
+            TriangleSplitInstance(-1, 1, frozenset())
+
 
 class TestGenerator:
     def test_zero_density(self):
@@ -165,6 +169,10 @@ class TestCompose:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             compose([])
+
+    def test_rejects_input_without_independent_vertex(self):
+        with pytest.raises(ValueError, match="at least one independent vertex and one triangle"):
+            compose([TriangleSplitInstance(0, 1, frozenset())])
 
     def test_pads_to_square(self):
         _, layout = compose([COLORABLE, UNCOLORABLE])

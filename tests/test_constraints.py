@@ -290,10 +290,9 @@ class TestRowPieces:
         # the pair ranking orders classes by this estimate; the reference
         # counts its distinct rows without the generator it sizes
         h = resolve_pattern(name)
-        engine = _SpanEngine(h, KernelStats())
         for size, m in row_cases(h):
             distinct = {keys for *_, keys in reference_class_constraint_keys(h, size, tuple(range(m)))}
-            assert engine.estimate_rows(size, m) == class_row_count(h, size, m) == \
+            assert class_row_count(h, size, m) == \
                 row_count(h, size, frozenset(range(m))) == len(distinct), (size, m)
 
     @pytest.mark.parametrize("name", ROW_PATTERNS)
@@ -453,3 +452,6 @@ class TestRowPieceMemo:
             assert len(h._selector_memo) == math.comb(h.num_colors - 1, h.max_degree)
             # one template per capped class size and neighborhood size
             assert all(size <= h.clique_number + 1 and s <= 9 for size, s in h._template_memo)
+            # one row count per class size and neighborhood size a host had
+            assert h._row_count_memo
+            assert all(size <= 10 and s <= 9 for size, s in h._row_count_memo)

@@ -48,6 +48,27 @@ class TestParseGraph:
         with pytest.raises(ParseError, match="header"):
             parse_graph("e 1 2\n")
 
+    @pytest.mark.parametrize("text", ["", "c only a comment\n"])
+    def test_no_header_at_all(self, text):
+        with pytest.raises(ParseError, match="^line 1: missing 'p edge' header$"):
+            parse_graph(text)
+
+    def test_duplicate_header(self):
+        with pytest.raises(ParseError, match="^line 2: duplicate problem header$"):
+            parse_graph("p edge 2 0\np edge 2 0\n")
+
+    def test_non_integer_header_sizes(self):
+        with pytest.raises(ParseError, match="^line 1: non-integer sizes in header$"):
+            parse_graph("p edge x 2\n")
+
+    def test_edge_with_one_endpoint(self):
+        with pytest.raises(ParseError, match="^line 2: expected 'e <u> <v>', got 'e 1'$"):
+            parse_graph("p edge 2 1\ne 1\n")
+
+    def test_blank_lines_skipped(self):
+        g = parse_graph("\np edge 2 1\n\n  \ne 1 2\n\n")
+        assert g.n == 2 and g.m == 1
+
     def test_malformed_header(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_graph("p graph 2 1\n")
@@ -220,6 +241,10 @@ class TestTsdFormat:
     def test_rejects_bad_header(self):
         with pytest.raises(ParseError):
             parse_tsd("p edge 1 1\n")
+
+    def test_rejects_missing_header(self):
+        with pytest.raises(ParseError, match="^line 1: missing 'p tsd' header$"):
+            parse_tsd("")
 
     def test_rejects_out_of_range_cross_edge(self):
         with pytest.raises(ParseError, match="out of range"):
@@ -452,6 +477,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "OK 81/81" in out
         assert out.count("target (") == 9
+
+    def test_verify_gadget_needs_one_port(self, capsys):
+        assert cli.main(["verify-gadget", "--m", "0"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "m must be at least 1\n"
+
+    def test_compose_from_directory_without_inputs_fails(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not an instance\n")
+        code = cli.main(["compose", "--inputs", str(tmp_path),
+                         "--out", str(tmp_path / "o.col")])
+        assert code == cli.EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: no .tsd files in directory {tmp_path}\n"
+        assert not (tmp_path / "o.col").exists()
 
     def test_unreadable_file_fails(self, capsys):
         assert cli.main(["solve", "--graph", "/nonexistent.col",

@@ -59,6 +59,18 @@ class TestGraph:
         with pytest.raises(ValueError, match="asymmetric"):
             Graph((0, 1), {0: frozenset({1}), 1: frozenset()})
 
+    def test_rejects_unsorted_vertex_ids(self):
+        with pytest.raises(ValueError, match="vertex ids must be unique and sorted"):
+            Graph((1, 0), {0: frozenset(), 1: frozenset()})
+
+    def test_rejects_adjacency_keys_off_the_vertex_set(self):
+        with pytest.raises(ValueError, match="adjacency keys must match the vertex set"):
+            Graph((0, 1), {0: frozenset()})
+
+    def test_constructor_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 0"):
+            Graph((0,), {0: frozenset({0})})
+
     def test_edge_iteration_sorted(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0), (1, 0)])
         assert list(g.edges()) == [(0, 1), (0, 2), (1, 3)]

@@ -103,6 +103,19 @@ def test_every_export_resolves_to_its_home_object(tmp_path):
     assert int(out) == 1 + sum(map(len, EXPORTS.values()))
 
 
+def test_dir_lists_on_demand_names_without_loading_them(tmp_path):
+    out = run_fresh(f"""
+        import sys
+        import hckernel
+        names = dir(hckernel)
+        assert names == sorted(names)
+        print(sorted(set(hckernel.__all__) - set(names)))
+        print(sorted({{"composer", "oracle"}} - set(names)))
+        {loaded(ON_DEMAND)}
+        """, tmp_path)
+    assert out.splitlines() == ["[]", "[]", "[]"]
+
+
 def test_unknown_name_raises_attribute_error(tmp_path):
     out = run_fresh("""
         import hckernel

@@ -82,7 +82,7 @@ def span_engine_test(g, h, p1, p2):
     """Run one span test on a fresh engine; (answer, engine)."""
     pi = twin_decomposition(g)
     engine = _SpanEngine(h, KernelStats())
-    tc = _TwinClasses(g, pi, engine)
+    tc = _TwinClasses(g, pi, h)
     return engine.span_test(tc, min(p1), min(p2)), engine
 
 
@@ -99,14 +99,14 @@ class TestRule2:
         rng = random.Random(40)
         for _ in range(30):
             g = random_graph(rng.randint(2, 9), rng.choice([0.3, 0.6, 0.9]), rng)
-            tc = _TwinClasses(g, twin_decomposition(g), _SpanEngine(K3, KernelStats()))
+            tc = _TwinClasses(g, twin_decomposition(g), K3)
             got = list(tc.pairs())
             assert len(got) == len(set(got))
             assert set(got) == {(min(p1), min(p2)) for p1, p2 in joined_pairs(g)}
 
     def test_no_edges_between_pair_is_inadmissible(self):
         g = disjoint(clique(2), clique(2))
-        tc = _TwinClasses(g, twin_decomposition(g), _SpanEngine(K3, KernelStats()))
+        tc = _TwinClasses(g, twin_decomposition(g), K3)
         assert list(tc.pairs()) == []
         res = kernelize(g, K3)
         assert res.stats.span_tests == 0 and res.stats.rule3 == 2

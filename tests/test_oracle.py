@@ -156,6 +156,20 @@ class TestListColoring:
         with pytest.raises(ValueError, match="empty"):
             ListColoringInstance(Graph.from_edges(1, []), {0: frozenset()})
 
+    def test_color_outside_palette_rejected_at_construction(self):
+        with pytest.raises(ValueError, match=r"colors outside \{1,2,3\}: \[1, 4\]"):
+            ListColoringInstance(Graph.from_edges(1, []), {0: frozenset({1, 4})})
+
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)]])
+    def test_search_fails_on_an_empty_list(self, edges):
+        # the constructor never lets one through; the search still fails,
+        # as the vertex with the empty list, isolated or not, has the
+        # smallest list and no color to try
+        g = Graph.from_edges(3, edges)
+        domains = {v: {1, 2, 3} for v in g.vertices}
+        domains[2] = set()
+        assert _search(g.adj, g.vertices, domains, {c: (c,) for c in (1, 2, 3)}) is None
+
     def test_guard(self):
         g = Graph.from_edges(25, [])
         inst = ListColoringInstance(g, {v: frozenset({1}) for v in g.vertices})
