@@ -22,7 +22,8 @@ depend only on the target and the class size capped at omega(H)+1. Both
 pieces, and the row counts, are memoized on the ``PatternGraph`` and built
 on first need, so ``iter_class_constraint_keys`` only relabels the pieces.
 Only this module knows the families' shape: ``class_row_count``,
-``monomial_size`` and ``closed_form_basis``.
+``monomial_size`` and ``closed_form_basis``, which writes down a basis of
+every family, for every target and class size, without elimination.
 """
 
 from __future__ import annotations
@@ -123,17 +124,17 @@ def _selector_templates(h: PatternGraph) -> tuple[itemgetter, ...]:
     return got
 
 
-def _kind_p_rows(h: PatternGraph, neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]]:
-    """Kind-P rows: no Delta+1 neighbours may be rainbow-colored."""
+def _kind_p_rows(h: PatternGraph, subsets: Iterable[tuple[int, ...]],
+                 templates: Iterable[itemgetter]) -> Iterator[tuple[tuple, ...]]:
+    """Kind-P rows: the given selector templates relabelled onto each of
+    the given sorted (Delta+1)-subsets, subset after subset."""
     d = h.max_degree
-    if len(neighborhood) > d:
-        colors = h.color_ids
-        templates = _selector_templates(h)
-        for s in itertools.combinations(neighborhood, d + 1):
-            table = [(v, c) for v in s for c in colors]
-            for pick in templates:
-                # every monomial has exactly d pairs
-                yield tuple(zip(*[iter(pick(table))] * d))
+    colors = h.color_ids
+    for s in subsets:
+        table = [(v, c) for v in s for c in colors]
+        for pick in templates:
+            # every monomial has exactly d pairs
+            yield tuple(zip(*[iter(pick(table))] * d))
 
 
 def _kind_q_rows(h: PatternGraph, class_size: int,
@@ -154,46 +155,60 @@ def iter_class_constraint_keys(
 ) -> Iterator[tuple[tuple, ...]]:
     """Yield each row of one twin class once, as its tuple of monomial keys.
 
-    ``neighborhood`` must be sorted. This generator is the only source of
-    rows, which the kernelizer interns into bitmasks. Rows are relabelled
-    per-pattern pieces (see ``_selector_templates`` and
-    ``color_sequences``); monomial keys are sorted tuples of (vertex,
-    color) pairs, listed in increasing order. Kind-P rows come first.
+    ``neighborhood`` must be sorted. This generator defines the family:
+    ``class_row_count`` counts its rows and ``closed_form_basis`` is a
+    basis of their span. Rows are relabelled per-pattern pieces (see
+    ``_selector_templates`` and ``color_sequences``); monomial keys are
+    sorted tuples of (vertex, color) pairs, listed in increasing order.
+    Kind-P rows come first: no Delta+1 neighbours may be rainbow-colored.
     """
-    yield from _kind_p_rows(h, neighborhood)
+    d = h.max_degree
+    if len(neighborhood) > d:
+        yield from _kind_p_rows(h, itertools.combinations(neighborhood, d + 1),
+                                _selector_templates(h))
     yield from _kind_q_rows(h, class_size, neighborhood)
 
 
 def closed_form_basis(h: PatternGraph, class_size: int,
-                      neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]] | None:
-    """A basis of the class's rows in closed form, in generator order, or
-    None when the family has no closed form. Two shapes have one; the
-    decision depends only on the target and the capped class size.
+                      neighborhood: tuple[int, ...]) -> Iterator[tuple[tuple, ...]]:
+    """A basis of the class's rows, built without elimination.
 
-    * K_q singleton: there are no kind-Q rows, and one kind-P row per
-      q-subset of N. Over any (q+1)-set the rows of its q-subsets sum to
-      0: each monomial pairs q-1 vertices with the colors 0..q-2, and
-      exactly two of the q-subsets hold those vertices. Applied to S plus
-      the smallest neighbour v, this writes the row of a q-subset S
-      without v as a sum of rows of q-subsets with v. Those C(|N|-1, q-1)
-      rows, the cone, come first in generator order, and each holds a
-      monomial no other cone row has (its q-1 largest vertices with the
-      colors in order): they are the rows greedy elimination keeps.
-    * Unit-row family: every Delta-subset y of the selector colors leaves
-      a common neighborhood with a clique number below the capped class
-      size. Every kind-P monomial, a Delta-subset of N colored by an
-      ordering of some y, is then a kind-Q row, so the kind-Q rows, all
-      distinct single monomials, are a basis.
+    Call a selector color set y (a Delta-subset of all colors but the
+    last) live when its common neighborhood in the target has a clique of
+    cap colors, cap being the class size capped at omega(H)+1. The basis
+    is the selector rows of the live y's on the (Delta+1)-subsets of N
+    that hold min N (the cone), in ``combinations`` order, followed by the
+    kind-Q rows. It has |Q| + L * C(|N|-1, Delta) rows for L live y's.
+
+    * Dead color sets. Every monomial of y's template colors a
+      Delta-subset of N with exactly the colors of y, in some order. When
+      y is dead, each such monomial is a kind-Q row, so y's rows lie in
+      the span of the kind-Q rows.
+    * The cone. Fix a live y and a (Delta+2)-set T of neighbours. Each
+      monomial of y's rows on the (Delta+1)-subsets of T pairs Delta
+      vertices of T with the colors of y in order, and exactly two of
+      those subsets hold its Delta vertices: the rows sum to 0. Applied to
+      S plus min N, this writes y's row on a subset S without min N as a
+      sum of y's rows on subsets with min N.
+    * Independence. A live y's monomials are no kind-Q rows, and the
+      kind-Q rows are distinct single monomials. Distinct y's have
+      disjoint monomials. Of y's cone rows, only the one on {min N} + R
+      holds the monomial that colors R with y in order.
+    * The former special cases. For a class of two or more vertices every
+      y is dead: a color adjacent to all Delta colors of y has exactly y
+      as its neighbours, so two such colors are not adjacent; the basis is
+      the kind-Q rows. A K_q singleton has one y, the colors 0..q-2, and
+      it is live: the basis is the first C(|N|-1, q-1) rows in generator
+      order.
     """
     cap = min(max(class_size, 0), h.clique_number + 1)
     d = h.max_degree
-    if cap == 1 and h.clique_number == h.num_colors:
-        return itertools.islice(_kind_p_rows(h, neighborhood),
-                                math.comb(max(len(neighborhood) - 1, 0), d))
-    if all(h.omega_of(h.common_neighborhood(y)) < cap
-           for y in itertools.combinations(h.color_ids[:-1], d)):
-        return _kind_q_rows(h, class_size, neighborhood)
-    return None
+    live = [h.omega_of(h.common_neighborhood(y)) >= cap
+            for y in itertools.combinations(h.color_ids[:-1], d)]
+    if len(neighborhood) > d and any(live):
+        cone = ((neighborhood[0], *r) for r in itertools.combinations(neighborhood[1:], d))
+        yield from _kind_p_rows(h, cone, tuple(itertools.compress(_selector_templates(h), live)))
+    yield from _kind_q_rows(h, class_size, neighborhood)
 
 
 def class_row_count(h: PatternGraph, class_size: int, nbhd_size: int) -> int:

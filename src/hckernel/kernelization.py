@@ -39,10 +39,10 @@ scratch after every application. Only the work per application is less:
   sets (see ``_SpanEngine``). A refuted test counts the rows the full
   test would have considered;
 * a test that is not refuted reads a basis of each class's rows, not all
-  of them: the family's template, found once per target (``_template``),
-  in closed form for K_q singletons and unit-row families. It spans the
-  same space, so the test and every basis rank are those of the full
-  family.
+  of them: the family's template, found once per target (``_template``)
+  in closed form, without elimination, for every target and class size.
+  It spans the same space, so the test and every basis rank are those of
+  the full family.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from itertools import combinations, islice
 from operator import itemgetter
 from typing import Iterator
 
+# iter_class_constraint_keys is unused here: perfbench/spans.py traces it under this name
 from .constraints import (class_row_count, closed_form_basis, iter_class_constraint_keys,
                           monomial_size)
 from .gf2 import BACKEND, MaskBasis, MonomialInterner
@@ -214,13 +215,11 @@ class _TwinClasses:
 
 
 def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
-    """The independent rows of a family over positions 0..s-1: those that
-    raise the rank when the family's rows are inserted greedily in
-    generator order, or the basis ``closed_form_basis`` gives without
-    elimination. They span the whole family.
+    """A basis of a family over positions 0..s-1: the rows of
+    ``closed_form_basis``, found without elimination.
 
     Rows whose monomials have w (position, color) pairs each are kept
-    together, in generator order, as (w, pick, counts): ``pick`` is one
+    together, in basis order, as (w, pick, counts): ``pick`` is one
     ``itemgetter`` that picks all their pairs, monomial after monomial,
     from a table holding (N[i], c) at ``i * |V(H)| + index of c``, and
     ``counts`` holds each row's number of monomials. The increasing map
@@ -231,18 +230,10 @@ def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
     key = (min(class_size, h.clique_number + 1), s)
     got = h._template_memo.get(key)
     if got is None:
-        positions = tuple(range(s))
-        rows = closed_form_basis(h, class_size, positions)
-        if rows is None:
-            ids = MonomialInterner()
-            basis = MaskBasis()
-            # a row's keys are distinct, so the sum of their bits is their OR
-            rows = (keys for keys in iter_class_constraint_keys(h, class_size, positions)
-                    if basis.insert(sum(1 << ids[mk] for mk in keys)))
         index = {c: i for i, c in enumerate(h.color_ids)}
         width = len(index)
         groups: dict[int, tuple[list[int], list[int]]] = {}
-        for keys in rows:
+        for keys in closed_form_basis(h, class_size, tuple(range(s))):
             at, counts = groups.setdefault(len(keys[0]), ([], []))
             at += [i * width + index[c] for mk in keys for i, c in mk]
             counts.append(len(keys))

@@ -6,21 +6,22 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hckernel.constraints import (
     build_coloring_polynomial,
     class_row_count,
     closed_form_basis,
+    color_sequences,
     evaluate,
     iter_class_constraint_keys,
     monomial_size,
 )
 from hckernel.formats import NAMED_PATTERNS, resolve_pattern
-from hckernel.gf2 import MaskBasis
-from hckernel.graphs import Graph, PatternGraph, twin_decomposition
-from hckernel.kernelization import KernelStats, _SpanEngine, kernelize
+from hckernel.gf2 import MaskBasis, MonomialInterner
+from hckernel.graphs import Graph, PatternError, PatternGraph, twin_decomposition
+from hckernel.kernelization import KernelStats, _SpanEngine, _template, kernelize
 
 from helpers import (
     constraint_count_bound,
@@ -319,6 +320,31 @@ def basis_of(rows):
     return basis
 
 
+def key_masks(rows, ids):
+    """Rows of monomial keys as bitmasks over one interner."""
+    return [sum(1 << ids[mk] for mk in keys) for keys in rows]
+
+
+def small_cases(h, most):
+    """Class sizes 1..omega+1 and neighborhood sizes 0..most, stopping
+    before a size whose color sequences or selector monomials would
+    number over 1000 (K9's selector template has 9! monomials)."""
+    d = h.max_degree
+    for size in range(1, h.clique_number + 2):
+        for s in range(most + 1):
+            if h.num_colors ** min(s, d) > 1000 or (s > d and math.factorial(d + 1) > 1000):
+                break
+            yield size, s
+
+
+def live_color_sets(h, class_size):
+    """The number of selector color sets whose rows stay in the closed
+    form, decided by the clique test alone, without building any row."""
+    cap = min(class_size, h.clique_number + 1)
+    return sum(h.omega_of(h.common_neighborhood(y)) >= cap
+               for y in itertools.combinations(h.color_ids[:-1], h.max_degree))
+
+
 class TestTemplates:
     """A span test reads only a family's template rows. Spanning less than
     the family would make the target side accept tests it should refuse,
@@ -356,9 +382,9 @@ class TestTemplates:
 
 
 class TestClosedFormTemplates:
-    """K_q singletons and unit-row families get their template without
-    elimination; it must be the basis greedy elimination would keep, or
-    one that spans the family with independent rows."""
+    """Every family gets its template without elimination; it must be
+    independent and span the family, with as many rows as the basis
+    greedy elimination keeps (for K_q singletons, those very rows)."""
 
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_boundary_identity(self, q):
@@ -380,42 +406,55 @@ class TestClosedFormTemplates:
             assert all(0 in {v for key in keys for v, _c in key} for keys in cone), s
 
     @pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
-    def test_unit_row_condition(self, name):
+    def test_closed_form_is_a_basis(self, name):
+        h = resolve_pattern(name)
+        for size, s in small_cases(h, h.max_degree + 2):
+            rows = list(closed_form_basis(h, size, tuple(range(s))))
+            ids = MonomialInterner()
+            basis = basis_of(key_masks(rows, ids))
+            assert basis.rank == len(rows), (size, s)   # independent
+            family = iter_class_constraint_keys(h, size, tuple(range(s)))
+            assert all(map(basis.contains, key_masks(family, ids))), (size, s)
+            assert len(rows) == len(reference_template(h, size, s)), (size, s)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_PATTERNS))
+    def test_row_count(self, name):
+        # |Q(s)| + L * C(s-1, Delta) rows for L live selector color sets;
+        # for petersen at s = 12 greedy elimination ran out of memory
         h = resolve_pattern(name)
         d = h.max_degree
-        nbhd = tuple(range(d + 1))
-        # the kind-P rows come first, one per selector template
-        kind_p = list(itertools.islice(iter_class_constraint_keys(h, 1, nbhd),
-                                       math.comb(h.num_colors - 1, d)))
-        palettes = {frozenset(c for _v, c in key) for keys in kind_p for key in keys}
-        complete = h.clique_number == h.num_colors
-        for size in range(1, h.clique_number + 3):
-            basis = closed_form_basis(h, size, nbhd)
-            # singletons of a complete target get the cone, tested above;
-            # every other named family with a closed form is unit-row
-            assert (basis is None) == (size == 1 and not complete), size
-            if size == 1:
-                continue
-            # no kind-P monomial's palette leaves room for the class clique,
-            # so each is a kind-Q row
-            assert all(h.omega_of(h.common_neighborhood(p)) < size for p in palettes), size
-            if h.num_colors ** d <= 1000:
-                # small enough to check against the whole family
-                rows = list(iter_class_constraint_keys(h, size, nbhd))
-                unit = [keys for keys in rows if len(keys) == 1]
-                assert list(basis) == unit, size
-                assert {key for keys in rows for key in keys} == {keys[0] for keys in unit}, size
+        s = max(s for _size, s in small_cases(h, 12))
+        for size in range(1, h.clique_number + 2):
+            live = live_color_sets(h, size)
+            # the named targets have |V| - Delta live sets for a singleton
+            # and none for a larger class
+            assert live == (h.num_colors - d if size == 1 else 0), size
+            kind_q = sum(math.comb(s, k) * len(color_sequences(h, size, k))
+                         for k in range(1, min(d, s) + 1))
+            template = _template(h, size, s)
+            assert sum(len(counts) for *_, counts in template) == \
+                kind_q + live * math.comb(max(s - 1, 0), d), size
 
-    @pytest.mark.parametrize("name", ["C5", "C7", "petersen"])
-    def test_singletons_without_closed_form_need_elimination(self, name):
-        # some kind-P monomial of a singleton is no kind-Q row, so the
-        # kind-Q rows do not span the family
-        h = ROW_TARGETS[name]
-        nbhd = tuple(range(h.max_degree + 1))
-        rows = list(iter_class_constraint_keys(h, 1, nbhd))
-        unit = {keys[0] for keys in rows if len(keys) == 1}
-        assert closed_form_basis(h, 1, nbhd) is None
-        assert not {key for keys in rows for key in keys} <= unit
+    @settings(max_examples=35, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 7).flatmap(lambda n: st.sets(
+        st.sampled_from(list(itertools.combinations(range(n), 2))))
+        .map(lambda edges: Graph.from_edges(n, sorted(edges)))), st.data())
+    def test_closed_form_spans_greedy_family(self, g, data):
+        # one class size per random target: every size at s = Delta+2
+        # would cost seconds for some targets
+        assume(g.m and max(map(g.degree, g.vertices)) <= 4)
+        try:
+            h = PatternGraph(g)
+        except PatternError:
+            assume(False)   # bipartite
+        size = data.draw(st.sampled_from(range(1, h.clique_number + 2)), label="size")
+        for s in range(h.max_degree + 3):
+            rows = list(closed_form_basis(h, size, tuple(range(s))))
+            greedy = reference_template(h, size, s)
+            ids = MonomialInterner()
+            basis = basis_of(key_masks(rows, ids))
+            assert basis.rank == len(rows) == len(greedy), s
+            assert all(map(basis.contains, key_masks(greedy, ids))), s
 
 
 class TestRowPieceMemo:

@@ -347,6 +347,18 @@ class TestKernelize:
         with pytest.raises(PatternError):
             PatternGraph(cycle(4))
 
+    def test_wheel_w160_c5(self):
+        # hub 0 joined to the 160-cycle 1..160, on a fresh target. Finding
+        # the hub's singleton template (|N| = 159) by greedy elimination made
+        # this run take 148.7 s on 2 vCPUs; the counters are that run's
+        g = Graph.from_edges(161, [(0, i) for i in range(1, 161)]
+                             + [(i, i % 160 + 1) for i in range(1, 161)])
+        res = kernelize(g, PatternGraph(cycle(5)))
+        assert res.trivial_no
+        s = res.stats
+        assert (s.passes, s.rule2, s.rule3, s.span_tests, s.span_refuted) == (474, 316, 157, 316, 0)
+        assert (s.rows_considered, s.max_basis_rank) == (8_163_803, 164_916)
+
 
 class TestKernelSizeBound:
     def test_reference_values(self):
