@@ -9,6 +9,13 @@ materializing the dense monomial universe.
 
 Elimination works on int bitmasks: ``MonomialInterner`` gives each key a
 bit and ``MaskBasis`` reduces rows by pivot.
+
+A row of one monomial makes that monomial free: a basis keeps its free
+monomials as one set F, an int, instead of one stored row each. For any
+rows R, t lies in the span of F and R exactly when t & ~F lies in the span
+of the rows r & ~F, and the rank of F and R is |F| plus the rank of those
+rows. Reducing every row and every query by ``& ~F`` therefore gives the
+answers and the rank of inserting each free monomial as a row of its own.
 """
 
 from __future__ import annotations
@@ -26,16 +33,23 @@ class MaskBasis:
     the monomial interned at index i, so rows of any width are accepted.
     Stored rows are in row-echelon form: each has a distinct leading
     (highest) bit, used as the pivot during reduction.
+
+    ``free`` is the set F of free monomials (module docstring), added by
+    ``insert_units``. Stored rows never meet F, and ``insert`` and
+    ``contains`` reduce ``mask & ~F``; the rank counts F bit by bit. With
+    no free monomial neither method does any extra work.
     """
 
-    __slots__ = ("_pivots",)
+    __slots__ = ("_pivots", "free", "_kept")
 
     def __init__(self):
         self._pivots: dict[int, int] = {}
+        self.free = 0
+        self._kept = -1   # ~free: every bit but the free ones
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._pivots) + self.free.bit_count()
 
     def _reduce(self, row: int) -> int:
         pivots = self._pivots
@@ -52,14 +66,38 @@ class MaskBasis:
         Returns True iff the row was inserted (it was not already in the
         span). Inserting the zero row returns False.
         """
+        if self.free:
+            mask &= self._kept
         row = self._reduce(mask)
         if row == 0:
             return False
         self._pivots[row.bit_length() - 1] = row
         return True
 
+    def insert_units(self, mask: int) -> None:
+        """Add every bit of the mask as a one-monomial row: its bits become
+        free. Stored rows that meet a new free bit are projected off F and
+        inserted again, since a row whose leading bit became free takes a
+        lower pivot that another row may hold."""
+        new = mask & self._kept
+        if not new:
+            return
+        self.free |= new
+        kept = self._kept = ~self.free
+        pivots = self._pivots
+        moved = [row for row in pivots.values() if row & new]
+        for row in moved:
+            del pivots[row.bit_length() - 1]
+        for row in moved:
+            row = self._reduce(row & kept)
+            if row:
+                pivots[row.bit_length() - 1] = row
+
     def contains(self, mask: int) -> bool:
-        """True iff the row is a GF(2) combination of the stored rows."""
+        """True iff the row is a GF(2) combination of the stored rows and
+        the free monomials."""
+        if self.free:
+            mask &= self._kept
         return self._reduce(mask) == 0
 
 

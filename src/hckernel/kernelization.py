@@ -42,7 +42,9 @@ scratch after every application. Only the work per application is less:
   of them: the family's template, found once per target (``_template``)
   in closed form, without elimination, for every target and class size.
   It spans the same space, so the test and every basis rank are those of
-  the full family.
+  the full family;
+* the template's one-monomial rows (the kind-Q rows) enter the basis as
+  one mask of free monomials per family (see ``gf2``), not one row each.
 """
 
 from __future__ import annotations
@@ -222,7 +224,8 @@ def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
     together, in basis order, as (w, pick, counts): ``pick`` is one
     ``itemgetter`` that picks all their pairs, monomial after monomial,
     from a table holding (N[i], c) at ``i * |V(H)| + index of c``, and
-    ``counts`` holds each row's number of monomials. The increasing map
+    ``counts`` holds each row's number of monomials. Rows of one monomial
+    form groups of their own, with ``counts`` None. The increasing map
     i -> N[i] of a sorted neighborhood keeps every key sorted. Memoized on
     the pattern per (class size capped at omega(H)+1, s) and built on
     first use.
@@ -232,15 +235,16 @@ def _template(h: PatternGraph, class_size: int, s: int) -> tuple[tuple, ...]:
     if got is None:
         index = {c: i for i, c in enumerate(h.color_ids)}
         width = len(index)
-        groups: dict[int, tuple[list[int], list[int]]] = {}
+        groups: dict[tuple[int, bool], tuple[list[int], list[int]]] = {}
         for keys in closed_form_basis(h, class_size, tuple(range(s))):
-            at, counts = groups.setdefault(len(keys[0]), ([], []))
+            at, counts = groups.setdefault((len(keys[0]), len(keys) == 1), ([], []))
             at += [i * width + index[c] for mk in keys for i, c in mk]
             counts.append(len(keys))
         # one index would make itemgetter return the bare pair
         got = h._template_memo[key] = tuple(
-            (w, itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1)), tuple(counts))
-            for w, (at, counts) in groups.items())
+            (w, itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1)),
+             None if unit else tuple(counts))
+            for (w, unit), (at, counts) in groups.items())
     return got
 
 
@@ -250,6 +254,10 @@ class _SpanEngine:
     A class feeds a test only its family's template (``_template``), which
     spans the same space as all of the family's rows: every test answers
     the same and every basis reaches the same rank after each source.
+    The template's one-monomial rows are cached as one int, the OR of
+    their bits, and enter the basis as free monomials (``MaskBasis.
+    insert_units``): same span, same rank, one mask instead of one row
+    per monomial, which for a large neighborhood is most of the rows.
     Rows depend only on (class size, open neighborhood), so repeated tests
     across the run reuse the cached bitmasks. Rule 1 has passed every
     class a test sees, so no class size exceeds omega(H).
@@ -278,26 +286,39 @@ class _SpanEngine:
         self.h = h
         self.stats = stats   # span tests count into the run's stats
         self.interner = MonomialInterner()
-        self._rows: dict[tuple[int, frozenset[int]], tuple[int, ...]] = {}
+        self._rows: dict[tuple[int, frozenset[int]], tuple[int, tuple[int, ...]]] = {}
 
-    def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
-        """The bitmasks of a class's template rows relabelled onto its
-        neighborhood, in template order: a basis of its family's span."""
+    def class_rows(self, class_size: int,
+                   neighborhood: frozenset[int]) -> tuple[int, tuple[int, ...]]:
+        """A class's template rows relabelled onto its neighborhood, as
+        (unit_mask, multi_rows): the OR of the bits of the one-monomial
+        rows, and the bitmasks of the other rows in template order. Those
+        rows and one row per unit bit are a basis of its family's span."""
         key = (class_size, neighborhood)
         got = self._rows.get(key)
         if got is None:
             ids = self.interner   # indexing interns an unseen key
             colors = self.h.color_ids
             table = [(v, c) for v in sorted(neighborhood) for c in colors]
+            units = 0
             masks = []
             for width, pick, counts in _template(self.h, class_size, len(neighborhood)):
                 keys = zip(*[iter(pick(table))] * width)
+                if counts is None:
+                    # set the bits in a byte buffer: ORing them into one
+                    # growing int would copy it once per bit
+                    idxs = list(map(ids.__getitem__, keys))
+                    bits = bytearray(max(idxs) // 8 + 1)
+                    for idx in idxs:
+                        bits[idx >> 3] |= 1 << (idx & 7)
+                    units |= int.from_bytes(bits, "little")
+                    continue
                 for m in counts:
                     mask = 0
                     for mk in islice(keys, m):
                         mask |= 1 << ids[mk]
                     masks.append(mask)
-            got = self._rows[key] = tuple(masks)
+            got = self._rows[key] = (units, tuple(masks))
         return got
 
     def _refuted(self, tc: _TwinClasses, a1: int, a2: int) -> bool:
@@ -351,21 +372,32 @@ class _SpanEngine:
             return False
 
         basis = MaskBasis()
-        pending = list(self.class_rows(len(p1), tc.nbhd[a1]))
+        units, pending = self.class_rows(len(p1), tc.nbhd[a1])
+        pending = list(pending)
         for est, a in merge((e for e in tc.ranked if e[1] not in reduced), swapped):
-            rows = self.class_rows(len(members[a]), reduced.get(a, tc.nbhd[a]))
-            if not rows:
+            unit_mask, rows = self.class_rows(len(members[a]), reduced.get(a, tc.nbhd[a]))
+            if not (unit_mask or rows):
                 continue
-            grew = False
+            rank = basis.rank
+            basis.insert_units(unit_mask)
             for mask in rows:
-                grew |= basis.insert(mask)
+                basis.insert(mask)
             stats.rows_considered += est
-            stats.max_basis_rank = max(stats.max_basis_rank, basis.rank)
-            # covered targets stay covered: check until the first that is not
-            while grew and basis.contains(pending[-1]):
+            grown = basis.rank
+            stats.max_basis_rank = max(stats.max_basis_rank, grown)
+            if grown == rank:
+                continue
+            # covered targets stay covered: check until the first that is
+            # not; a free unit target is covered, other unit bits one by one
+            units &= ~basis.free
+            while units and basis.contains(units & -units):
+                units &= units - 1
+            if units:
+                continue
+            while pending and basis.contains(pending[-1]):
                 pending.pop()
-                if not pending:
-                    return True
+            if not pending:
+                return True
         return False
 
 

@@ -406,12 +406,15 @@ def reference_template(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
 
 def template_rows(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
     """The library's template over positions 0..s-1 as rows of monomial
-    keys, group after group."""
+    keys, group after group; a group of one-monomial rows has no counts."""
     table = [(i, c) for i in range(s) for c in h.color_ids]
     rows = []
     for width, pick, counts in _template(h, class_size, s):
         keys = iter(zip(*[iter(pick(table))] * width))
-        rows += [tuple(itertools.islice(keys, m)) for m in counts]
+        if counts is None:
+            rows += [(mk,) for mk in keys]
+        else:
+            rows += [tuple(itertools.islice(keys, m)) for m in counts]
     return rows
 
 
@@ -422,15 +425,17 @@ def template_rows(h, class_size: int, s: int) -> list[tuple[tuple, ...]]:
 # decomposition, re-ranks all class pairs and rebuilds an immutable graph.
 # It shares ``class_row_count`` with the library for the row estimate
 # that ranks the pairs, and ``_SpanEngine`` for the monomial interner, but
-# feeds every test all of a family's rows (``FullRowEngine``), not the
-# library's template of independent rows; so the differential checks that
-# templates change no answer and no basis rank. It cannot catch a
-# row-generation bug; ``reference_class_constraint_keys`` is the oracle
-# for that. It counts ``rows_considered`` from the generator itself, so
-# the differential also checks the library's estimate-based count. It
-# decides the neighborhood refutation of a span test with its own code and
-# still eliminates every test in full, so refuting a test that the
-# elimination passes trips an assertion here.
+# feeds every test all of a family's rows (``FullRowEngine``), one
+# ``MaskBasis.insert`` per row, not the library's template of independent
+# rows with its one-monomial rows as free monomials; so the differential
+# checks that templates and free monomials change no answer and no basis
+# rank. It cannot catch a row-generation bug;
+# ``reference_class_constraint_keys`` is the oracle for that. It counts
+# ``rows_considered`` from the generator itself, so the differential also
+# checks the library's estimate-based count. It decides the neighborhood
+# refutation of a span test with its own code and still eliminates every
+# test in full, so refuting a test that the elimination passes trips an
+# assertion here.
 
 @functools.cache
 def row_count(h, class_size: int, neighborhood: frozenset[int]) -> int:
@@ -439,8 +444,9 @@ def row_count(h, class_size: int, neighborhood: frozenset[int]) -> int:
 
 
 class FullRowEngine(_SpanEngine):
-    """``_SpanEngine`` whose ``class_rows`` are every row of the family,
-    generated for each neighborhood and interned into the shared interner."""
+    """``_SpanEngine`` whose ``class_rows`` are every row of the family as
+    one flat tuple of bitmasks, generated for each neighborhood and
+    interned into the shared interner."""
 
     def class_rows(self, class_size: int, neighborhood: frozenset[int]) -> tuple[int, ...]:
         key = (class_size, neighborhood)

@@ -320,6 +320,12 @@ def basis_of(rows):
     return basis
 
 
+def flat_rows(units, multi):
+    """An engine's cached (unit_mask, multi_rows) as one bitmask per row:
+    the multi rows, then one row per unit bit."""
+    return list(multi) + [1 << i for i in range(units.bit_length()) if units >> i & 1]
+
+
 def key_masks(rows, ids):
     """Rows of monomial keys as bitmasks over one interner."""
     return [sum(1 << ids[mk] for mk in keys) for keys in rows]
@@ -357,7 +363,8 @@ class TestTemplates:
         for size, m in row_cases(h):
             nbhd = frozenset(rng.sample(range(60), m))
             engine = _SpanEngine(h, KernelStats())
-            template = engine.class_rows(size, nbhd)
+            units, multi = engine.class_rows(size, nbhd)
+            template = flat_rows(units, multi)
             ids = engine.interner
             family = [sum(1 << ids[mk] for mk in keys)
                       for keys in iter_class_constraint_keys(h, size, tuple(sorted(nbhd)))]
@@ -365,6 +372,13 @@ class TestTemplates:
             basis = basis_of(template)
             assert all(basis.contains(mask) for mask in family), (size, m)
             assert len(template) == basis.rank == basis_of(family).rank, (size, m)
+            # the unit bits as free monomials give the same rank, so the
+            # same span: the template's rows are rows of the family
+            free = MaskBasis()
+            free.insert_units(units)
+            for mask in multi:
+                free.insert(mask)
+            assert free.rank == basis.rank, (size, m)
             if template:
                 # the check has teeth: a template one row short misses a
                 # row of the family
@@ -378,7 +392,21 @@ class TestTemplates:
         q = h.num_colors
         engine = _SpanEngine(h, KernelStats())
         for s in range(1, 11):
-            assert len(engine.class_rows(1, frozenset(range(s)))) == math.comb(s - 1, q - 1), s
+            # no kind-Q row: every template row is a multi-monomial row
+            units, multi = engine.class_rows(1, frozenset(range(s)))
+            assert (units, len(multi)) == (0, math.comb(s - 1, q - 1)), s
+
+    def test_engine_caches_unit_rows_as_one_int(self):
+        # a C5 singleton with 40 neighbours: its kind-Q rows are single
+        # monomials, held as one int; the |V| - Delta live selector color
+        # sets give the other rows on the cone of C(39, Delta) subsets
+        h = resolve_pattern("C5")
+        units, multi = _SpanEngine(h, KernelStats()).class_rows(1, frozenset(range(40)))
+        kind_q = sum(math.comb(40, k) * len(color_sequences(h, 1, k))
+                     for k in range(1, h.max_degree + 1))
+        assert kind_q and isinstance(units, int) and units.bit_count() == kind_q
+        assert len(multi) == (h.num_colors - h.max_degree) * math.comb(39, h.max_degree)
+        assert all(mask.bit_count() > 1 and not mask & units for mask in multi)
 
 
 class TestClosedFormTemplates:
@@ -431,9 +459,14 @@ class TestClosedFormTemplates:
             assert live == (h.num_colors - d if size == 1 else 0), size
             kind_q = sum(math.comb(s, k) * len(color_sequences(h, size, k))
                          for k in range(1, min(d, s) + 1))
+            # a group of one-monomial rows has one row per picked monomial
             template = _template(h, size, s)
-            assert sum(len(counts) for *_, counts in template) == \
-                kind_q + live * math.comb(max(s - 1, 0), d), size
+            positions = range(s * h.num_colors)
+            units = sum(len(pick(positions)) // w for w, pick, counts in template if counts is None)
+            multi = sum(len(counts) for *_, counts in template if counts is not None)
+            assert units + multi == kind_q + live * math.comb(max(s - 1, 0), d), size
+            # the one-monomial rows are the kind-Q rows
+            assert units == kind_q, size
 
     @settings(max_examples=35, deadline=None, derandomize=True, database=None)
     @given(st.integers(4, 7).flatmap(lambda n: st.sets(

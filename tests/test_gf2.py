@@ -6,6 +6,8 @@ from functools import reduce
 from operator import or_, xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hckernel
 from hckernel.constraints import evaluate
@@ -252,3 +254,78 @@ class TestMaskBasis:
             assert len(stored) == basis.rank
             assert pivots == sorted(set(pivots), reverse=True)
             assert span_of(stored) == span
+
+
+def spread(small, stride):
+    """Bit i of ``small`` moved to bit i * stride, so a stride over 64
+    puts every bit in a word of its own."""
+    return sum(1 << (i * stride) for i in range(small.bit_length()) if small >> i & 1)
+
+
+def free_steps(width):
+    """Up to ``width`` rows inserted first, so that later steps meet a full
+    basis, then steps that insert a row, add a unit mask, free the leading
+    bit of a stored row (the number picks the row) or probe."""
+    rows = st.lists(st.integers(1, (1 << width) - 1), max_size=width)
+    steps = st.lists(st.tuples(st.sampled_from(["insert", "units", "lead", "contains"]),
+                               st.integers(0, (1 << width) - 1)), max_size=16)
+    return st.tuples(rows, steps).map(lambda p: [("insert", r) for r in p[0]] + p[1])
+
+
+# (width, stride, steps)
+FREE_CASES = st.tuples(st.integers(1, 6), st.sampled_from([1, 40])).flatmap(
+    lambda ws: st.tuples(st.just(ws[0]), st.just(ws[1]), free_steps(ws[0])))
+
+
+class TestFreeMonomials:
+    """``insert_units`` makes a mask's bits free monomials. A plain basis
+    that gets each unit bit as a one-bit row must give the same rank and
+    every answer after every step."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(FREE_CASES)
+    def test_matches_one_row_per_unit(self, case):
+        width, stride, steps = case
+        free, plain = MaskBasis(), MaskBasis()
+        for op, small in steps:
+            mask = spread(small, stride)
+            if op == "lead":
+                stored = basis_rows(free)
+                if not stored:
+                    continue
+                op, mask = "units", 1 << stored[small % len(stored)].bit_length() - 1
+            if op == "insert":
+                assert free.insert(mask) == plain.insert(mask)
+            elif op == "units":
+                free.insert_units(mask)
+                for i in range(width):
+                    plain.insert(mask & 1 << i * stride)
+            else:
+                assert free.contains(mask) == plain.contains(mask)
+            assert free.rank == plain.rank
+            assert all(free.contains(spread(x, stride)) == plain.contains(spread(x, stride))
+                       for x in range(1 << width))
+            # stored rows stay off the free set, on distinct pivots
+            stored = basis_rows(free)
+            assert not any(row & free.free for row in stored)
+            assert len({row.bit_length() for row in stored}) == len(stored)
+
+    def test_leading_bit_freed(self):
+        # the stored row 0b1100 has its leading bit freed; projected to
+        # 0b0100 it lands on the pivot of 0b0110 and reduces to 0b0010
+        basis = MaskBasis()
+        basis.insert(0b1100)
+        basis.insert(0b1010)
+        basis.insert_units(0b1000)
+        assert basis.rank == 3 and basis.free == 0b1000
+        assert basis.contains(0b0010) and basis.contains(0b1110)
+        assert not basis.contains(0b0001)
+        assert basis_rows(basis) == [0b0110, 0b0010]
+
+    def test_units_already_in_span_do_not_raise_rank(self):
+        basis = MaskBasis()
+        basis.insert(0b0100)
+        basis.insert_units(0b0110)
+        assert basis.rank == 2 and basis_rows(basis) == []
+        basis.insert_units(0b0110)
+        assert basis.rank == 2
